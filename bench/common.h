@@ -12,9 +12,6 @@
  * Every bench accepts the same command line, parsed by bench::Options
  * from one declarative flag table (--help prints it):
  *   --jobs N              worker threads for the sweep
- *   --sim-threads N       host threads for the bound/weave parallel
- *                         kernel inside each simulation (docs/PERF.md;
- *                         0 = classic single-queue kernel)
  *   --trace               capture a protocol trace per configuration
  *                         and export Chrome trace-event JSON files
  *                         next to the stats (docs/TRACING.md)
@@ -37,8 +34,9 @@
  *   --home-map M          directory sharding: interleave | hash
  *   --record DIR          record a widir-mtrace-v1 trace per
  *                         configuration into DIR (docs/FRONTEND.md)
- *   --replay full|fast    replay trace-driven apps through the core
- *                         model (full) or straight into the L1s (fast)
+ *   --replay full         replay trace-driven apps through the core
+ *                         model (what they do anyway; accepted so
+ *                         scripts can name the mode)
  *   --trace-in FILE       register FILE (mtrace or text format) as
  *                         workload "trace:<stem>" and select it via
  *                         WIDIR_BENCH_APPS when that is unset
@@ -49,9 +47,6 @@
  *   WIDIR_BENCH_APPS    comma-separated subset of app names
  *   WIDIR_BENCH_JOBS    worker threads (--jobs wins; default: all
  *                       hardware threads)
- *   WIDIR_SIM_THREADS   bound/weave kernel threads per simulation
- *                       (--sim-threads wins; default 0 = classic
- *                       kernel)
  *   WIDIR_BENCH_OUT     JSON output directory (default bench/out)
  *   WIDIR_TRACE         non-empty and not "0": same as --trace
  *   WIDIR_TRACE_WINDOW  LO:HI cycle window (same as --trace-window)
@@ -178,16 +173,6 @@ class Options
                      die("invalid --jobs value '%s'", v);
                  jobs_ = static_cast<unsigned>(n);
              }},
-            {"--sim-threads", "N",
-             "bound/weave kernel threads inside each simulation "
-             "(0 = classic kernel)",
-             [this](const char *v) {
-                 long n = 0;
-                 if (!sys::parseEnvInt(v, 0, 4096, n))
-                     die("invalid --sim-threads value '%s'", v);
-                 simThreads_ = static_cast<unsigned>(n);
-                 simThreadsSet_ = true;
-             }},
             {"--trace", nullptr,
              "capture + export a protocol trace per configuration",
              [this](const char *) { traceOn_ = true; }},
@@ -272,18 +257,12 @@ class Options
                      die("--record wants a directory");
                  recordDir_ = v;
              }},
-            {"--replay", "full|fast",
-             "replay trace-driven apps through the core model (full) "
-             "or straight into the L1s (fast)",
+            {"--replay", "full",
+             "replay trace-driven apps through the core model (their "
+             "default; the only replayer)",
              [this](const char *v) {
-                 if (!std::strcmp(v, "full"))
-                     replayKind_ = frontend::FrontendKind::ReplayFull;
-                 else if (!std::strcmp(v, "fast"))
-                     replayKind_ = frontend::FrontendKind::ReplayFast;
-                 else
-                     die("invalid --replay value '%s' (want full|fast)",
-                         v);
-                 replaySet_ = true;
+                 if (std::strcmp(v, "full") != 0)
+                     die("invalid --replay value '%s' (want full)", v);
              }},
             {"--trace-in", "FILE",
              "register FILE (mtrace or text format) as workload "
@@ -338,19 +317,12 @@ class Options
         if (std::string err = fault_.validate(); !err.empty())
             die("invalid fault options: %s", err.c_str());
 
-        // --sim-threads wins over WIDIR_SIM_THREADS, including an
-        // explicit 0 (classic kernel): clear the env knob so
-        // runExperiment's fallback cannot re-enable the domain
-        // kernel. Runs before any sweep worker exists, so mutating
-        // the environment is safe.
-        if (simThreadsSet_ && simThreads_ == 0)
-            unsetenv("WIDIR_SIM_THREADS");
-
         // --trace-in makes the external trace a first-class workload:
         // register it as "trace:<stem>" and, when the user did not
         // pick an app subset, select exactly it -- so any bench runs
-        // the external trace through its standard sweep. Like
-        // --sim-threads above, this env write precedes the workers.
+        // the external trace through its standard sweep. This runs
+        // before any sweep worker exists, so mutating the environment
+        // is safe.
         if (!traceIn_.empty()) {
             std::string stem = traceIn_;
             if (std::size_t slash = stem.find_last_of('/');
@@ -370,11 +342,6 @@ class Options
     const std::string &name() const { return name_; }
     /** Worker threads; 0 lets SweepRunner pick sys::defaultJobs(). */
     unsigned jobs() const { return jobs_; }
-    /**
-     * Bound/weave kernel threads per simulation; 0 defers to
-     * WIDIR_SIM_THREADS (or the classic kernel) in runExperiment.
-     */
-    unsigned simThreads() const { return simThreads_; }
 
     /// @name Tracing (mapped onto sys::TraceOptions per spec)
     /// @{
@@ -409,9 +376,6 @@ class Options
     /// @{
     /** Trace output directory; empty when --record was not given. */
     const std::string &recordDir() const { return recordDir_; }
-    /** True when --replay was given (replayKind() is then valid). */
-    bool replaySet() const { return replaySet_; }
-    frontend::FrontendKind replayKind() const { return replayKind_; }
     /** Registered app name for --trace-in, "" without the flag. */
     const std::string &traceApp() const { return traceApp_; }
     /// @}
@@ -493,8 +457,6 @@ class Options
 
     std::string name_;
     unsigned jobs_ = 0;
-    unsigned simThreads_ = 0;
-    bool simThreadsSet_ = false;
     bool traceOn_ = false;
     sim::Tick traceLo_ = 0;
     sim::Tick traceHi_ = sim::kTickNever;
@@ -505,9 +467,6 @@ class Options
     std::uint32_t wirelessChannels_ = 1;
     mem::HomeMap homeMap_ = mem::HomeMap::Interleave;
     std::string recordDir_;
-    bool replaySet_ = false;
-    frontend::FrontendKind replayKind_ =
-        frontend::FrontendKind::ReplayFull;
     std::string traceIn_;
     std::string traceApp_;
 };
@@ -528,11 +487,9 @@ class Sweep
         : runner_(opt.jobs()), name_(opt.name()),
           traceOn_(opt.traceOn()), traceLo_(opt.traceStart()),
           traceHi_(opt.traceEnd()), fault_(opt.fault()),
-          simThreads_(opt.simThreads()),
           meshConcentration_(opt.meshConcentration()),
           wirelessChannels_(opt.wirelessChannels()),
-          homeMap_(opt.homeMap()), recordDir_(opt.recordDir()),
-          replaySet_(opt.replaySet()), replayKind_(opt.replayKind())
+          homeMap_(opt.homeMap()), recordDir_(opt.recordDir())
     {
     }
 
@@ -561,8 +518,6 @@ class Sweep
     std::size_t
     addSpec(ExperimentSpec spec)
     {
-        if (spec.simThreads == 0)
-            spec.simThreads = simThreads_; // --sim-threads sweep-wide
         // Topology flags apply sweep-wide unless the spec already
         // carries a non-default value of its own.
         if (spec.meshConcentration == 1)
@@ -571,26 +526,19 @@ class Sweep
             spec.wirelessChannels = wirelessChannels_;
         if (spec.homeMap == mem::HomeMap::Interleave)
             spec.homeMap = homeMap_;
-        // Frontend flags apply sweep-wide where they make sense:
-        // --record to kernel apps (a trace app has nothing to record),
-        // --replay to trace-driven apps (their trace supplies the
-        // machine-or-text input; kernel apps have no trace to replay).
-        if (spec.frontend == frontend::FrontendKind::Coroutine &&
-            spec.app != nullptr) {
-            const bool trace_app = spec.app->traceSource != nullptr;
-            if (!recordDir_.empty() && !trace_app) {
-                spec.frontend = frontend::FrontendKind::Record;
-                char tag[64];
-                std::snprintf(tag, sizeof(tag), "%zu_%s_%s_%uc",
-                              specs_.size(), spec.app->name,
-                              spec.protocol == Protocol::WiDir
-                                  ? "widir"
-                                  : "baseline",
-                              spec.cores);
-                spec.recordPath = recordDir_ + "/" + tag + ".mtrace";
-            }
-            if (replaySet_ && trace_app)
-                spec.frontend = replayKind_;
+        // --record applies sweep-wide to kernel apps (a trace app has
+        // nothing to record).
+        if (!recordDir_.empty() &&
+            spec.frontend == frontend::FrontendKind::Coroutine &&
+            spec.app != nullptr && spec.app->traceSource == nullptr) {
+            spec.frontend = frontend::FrontendKind::Record;
+            char tag[64];
+            std::snprintf(tag, sizeof(tag), "%zu_%s_%s_%uc",
+                          specs_.size(), spec.app->name,
+                          spec.protocol == Protocol::WiDir ? "widir"
+                                                           : "baseline",
+                          spec.cores);
+            spec.recordPath = recordDir_ + "/" + tag + ".mtrace";
         }
         if (traceOn_) {
             spec.trace.enabled = true;
@@ -655,13 +603,10 @@ class Sweep
     sim::Tick traceLo_;
     sim::Tick traceHi_;
     fault::FaultSpec fault_;
-    unsigned simThreads_;
     std::uint32_t meshConcentration_;
     std::uint32_t wirelessChannels_;
     mem::HomeMap homeMap_;
     std::string recordDir_;
-    bool replaySet_;
-    frontend::FrontendKind replayKind_;
     std::vector<ExperimentSpec> specs_;
     std::vector<ExperimentResult> results_;
 };

@@ -9,9 +9,9 @@
  * describe the host process and the stimulus plumbing rather than the
  * simulated machine.
  *
- *   replay_trace --trace-in FILE [--replay full|fast]
+ *   replay_trace --trace-in FILE [--replay full]
  *                [--protocol widir|baseline] [--tiles N] [--scale N]
- *                [--sim-threads N] [--out FILE.json] [--diff REF.json]
+ *                [--out FILE.json] [--diff REF.json]
  *
  * The machine flags only matter for headerless text traces; a recorded
  * trace carries its machine and overrides them. Exits 0 on success,
@@ -37,11 +37,10 @@ usage(const char *why)
     std::fprintf(stderr,
                  "replay_trace: %s\n"
                  "usage: replay_trace --trace-in FILE "
-                 "[--replay full|fast]\n"
+                 "[--replay full]\n"
                  "       [--protocol widir|baseline] [--tiles N] "
                  "[--scale N]\n"
-                 "       [--sim-threads N] [--out FILE.json] "
-                 "[--diff REF.json]\n",
+                 "       [--out FILE.json] [--diff REF.json]\n",
                  why);
     std::exit(2);
 }
@@ -117,11 +116,9 @@ main(int argc, char **argv)
     using frontend::FrontendKind;
 
     std::string trace_in, out_path, diff_path;
-    FrontendKind kind = FrontendKind::ReplayFull;
     coherence::Protocol proto = coherence::Protocol::WiDir;
     std::uint32_t tiles = 64;
     std::uint32_t scale = 1;
-    unsigned sim_threads = 0;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -133,13 +130,8 @@ main(int argc, char **argv)
         if (!std::strcmp(arg, "--trace-in")) {
             trace_in = operand();
         } else if (!std::strcmp(arg, "--replay")) {
-            const char *v = operand();
-            if (!std::strcmp(v, "full"))
-                kind = FrontendKind::ReplayFull;
-            else if (!std::strcmp(v, "fast"))
-                kind = FrontendKind::ReplayFast;
-            else
-                usage("--replay wants full|fast");
+            if (std::strcmp(operand(), "full") != 0)
+                usage("--replay wants full");
         } else if (!std::strcmp(arg, "--protocol")) {
             const char *v = operand();
             if (!std::strcmp(v, "widir"))
@@ -158,11 +150,6 @@ main(int argc, char **argv)
             if (!sys::parseEnvInt(operand(), 1, 1'000'000, n))
                 usage("invalid --scale value");
             scale = static_cast<std::uint32_t>(n);
-        } else if (!std::strcmp(arg, "--sim-threads")) {
-            long n = 0;
-            if (!sys::parseEnvInt(operand(), 0, 4096, n))
-                usage("invalid --sim-threads value");
-            sim_threads = static_cast<unsigned>(n);
         } else if (!std::strcmp(arg, "--out")) {
             out_path = operand();
         } else if (!std::strcmp(arg, "--diff")) {
@@ -182,8 +169,7 @@ main(int argc, char **argv)
     spec.protocol = proto;
     spec.cores = tiles;
     spec.scale = scale;
-    spec.frontend = kind;
-    spec.simThreads = sim_threads;
+    spec.frontend = FrontendKind::ReplayFull;
     sys::ExperimentResult r = sys::runExperiment(spec);
 
     std::printf("%s %s: %s replay of %s\n", r.app.c_str(),

@@ -982,27 +982,9 @@ DirectoryController::maybeFinishToShared(Addr line)
         // transaction open until our own delivery resolves it --
         // completing now would orphan a chip-wide downgrade that could
         // land in the middle of this line's next wireless epoch.
-        //
-        // The cancel-or-continue is phrased through cancelPendingOr so
-        // it also works from a bound-phase domain, where the outcome
-        // only exists once the weave replays the cancel. The callback
-        // re-validates the transaction: by replay time our own
-        // delivery may already have resolved it (then the cancel
-        // fails and nothing runs), and duplicate deferred cancels are
-        // harmless because only the first one succeeds.
-        fabric_.dataChannel()->cancelPendingOr(
-            txn->frameToken, [this, line] {
-                DirTxn *t = txnOf(line);
-                if (!t || t->type != TxnType::ToShared ||
-                    t->frameResolved) {
-                    return;
-                }
-                if (t->acksReceived < t->acksExpected)
-                    return;
-                t->frameResolved = true;
-                finishToShared(line);
-            });
-        return; // the cancel callback or handleFrame(WirDwgr) finishes
+        if (!fabric_.dataChannel()->cancelPending(txn->frameToken))
+            return; // handleFrame(WirDwgr) finishes
+        txn->frameResolved = true;
     }
     finishToShared(line);
 }

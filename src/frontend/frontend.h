@@ -11,9 +11,7 @@
  *  - Record: Coroutine plus an OpSink tap writing widir-mtrace-v1
  *    (pure observation: stats identical to an unrecorded run);
  *  - ReplayFull: the core model re-driven from a recorded trace --
- *    reproduces the recording's stats byte-identically;
- *  - ReplayFast: a direct-to-L1 driver that skips the ROB model for
- *    large sweeps (deterministic, but not timing-faithful).
+ *    reproduces the recording's stats byte-identically.
  *
  * Fidelity contracts are specified in docs/FRONTEND.md.
  */
@@ -39,7 +37,6 @@ enum class FrontendKind : std::uint8_t
     Coroutine,  ///< coroutine CPU model running a workload program
     Record,     ///< Coroutine + widir-mtrace-v1 recorder tap
     ReplayFull, ///< trace re-driven through the core timing model
-    ReplayFast, ///< trace driven directly into the L1s (no ROB)
 };
 
 /** Stable lowercase name (JSON echo, bench flags). */
@@ -49,7 +46,7 @@ const char *frontendKindName(FrontendKind kind);
 bool parseFrontendKind(std::string_view name, FrontendKind &out);
 
 /**
- * Frontend construction request. For the replay kinds @p trace must
+ * Frontend construction request. For ReplayFull @p trace must
  * point at a trace that outlives the frontend.
  */
 struct FrontendSpec
@@ -62,9 +59,9 @@ struct FrontendSpec
  * Serializes the sync-event tokens of a trace into their recorded
  * global order: a thread may pass its next token only when every
  * earlier token (ordered by recorded key, then thread, then index) has
- * been passed. This is how the fast replayer -- and full replay of
- * headerless text traces -- preserves the inter-thread ordering the
- * annotations encode without a timing-faithful core.
+ * been passed. This is how full replay of headerless text traces
+ * preserves the inter-thread ordering the annotations encode, which
+ * their (absent) recorded timing cannot.
  */
 class ReplayGate
 {
@@ -126,7 +123,7 @@ class Frontend
 
     /**
      * Start the stimulus at tick 0 (schedules the kickoff events; the
-     * caller then runs the simulator). The replay kinds ignore
+     * caller then runs the simulator). ReplayFull ignores
      * @p program.
      */
     virtual void start(const cpu::Program &program) = 0;
@@ -140,7 +137,7 @@ class Frontend
     /** CPU-side statistics summed over all streams. */
     virtual cpu::Core::Stats cpuTotals() const = 0;
 
-    /** The core model of tile @p n, or null for core-less frontends. */
+    /** The core model of tile @p n. */
     virtual cpu::Core *core(sim::NodeId n) = 0;
 
     /** The recorder (Record kind only, else null). */

@@ -10,8 +10,8 @@
  * the Thread awaitables one-to-one, so full-fidelity replay re-drives
  * the core timing model through the identical call sequence; Sync
  * records carry the annotations the workload sync library volunteers
- * so the fast direct-to-L1 replayer can preserve inter-thread ordering
- * constraints without a core model.
+ * so a replay without recorded timing (a headerless text trace, via
+ * ReplayGate) can still preserve inter-thread ordering constraints.
  */
 
 #ifndef WIDIR_FRONTEND_MTRACE_H

@@ -208,15 +208,8 @@ struct ExperimentSpec
     fault::FaultSpec fault;
 
     /**
-     * Host threads for the bound/weave parallel kernel (sim/domains.h,
-     * `--sim-threads`). 0 (the default) defers to the WIDIR_SIM_THREADS
-     * environment variable, and falls back to the classic single-queue
-     * kernel when that is unset too. Any value >= 1 selects the domain
-     * kernel; results are byte-identical across all >= 1 values (and
-     * deterministic, but a *different* -- equally valid -- event
-     * schedule from the classic kernel, see docs/PERF.md). Not part of
-     * the widir-sweep-v1 result schema: like forceHeapForTest, it
-     * selects an execution strategy, not an experiment.
+     * Kept so existing callers still compile; the single-queue kernel
+     * is the only one, so validate() rejects any value but 0.
      */
     unsigned simThreads = 0;
 
@@ -268,9 +261,8 @@ std::uint32_t benchScale(std::uint32_t fallback = 1);
  * else) that fits in [@p min, @p max]. Rejects empty strings, trailing
  * garbage ("4abc"), and out-of-range values -- including the ones
  * strtol silently saturates -- and returns false without touching
- * @p out. Shared by benchScale, sweep::defaultJobs, and the
- * WIDIR_SIM_THREADS resolution so every env knob fails loudly the
- * same way.
+ * @p out. Shared by benchScale and sweep::defaultJobs so every env
+ * knob fails loudly the same way.
  */
 bool parseEnvInt(const char *text, long min, long max, long &out);
 

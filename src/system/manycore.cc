@@ -12,14 +12,11 @@ Manycore::Manycore(const SystemConfig &cfg) : cfg_(cfg)
                  "MaxWiredSharers must fit in the sharer pointers "
                  "(Section III-B)");
 
+    WIDIR_ASSERT(cfg_.simThreads == 0,
+                 "simThreads must be 0: the bound/weave kernel was "
+                 "removed");
+
     sim_ = std::make_unique<sim::Simulator>(cfg_.seed);
-    if (cfg_.simThreads > 0) {
-        // Bound/weave parallel kernel: one domain per tile, executed
-        // by min(simThreads, numCores) host threads. Must precede all
-        // component construction so nothing schedules into the
-        // single-queue layout first.
-        sim_->enableDomains(cfg_.numCores, cfg_.simThreads);
-    }
 
     cfg_.mesh.numNodes = cfg_.numCores;
     mesh_ = std::make_unique<noc::Mesh>(*sim_, cfg_.mesh);
@@ -94,11 +91,7 @@ cpu::Core &
 Manycore::core(sim::NodeId n)
 {
     WIDIR_ASSERT(frontend_, "no frontend installed");
-    cpu::Core *c = frontend_->core(n);
-    WIDIR_ASSERT(c != nullptr,
-                 "frontend '%s' has no core models",
-                 frontend::frontendKindName(frontend_->kind()));
-    return *c;
+    return *frontend_->core(n);
 }
 
 sim::Tick

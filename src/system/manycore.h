@@ -56,12 +56,8 @@ struct SystemConfig
     fault::FaultSpec fault;
 
     /**
-     * Host threads for the bound/weave domain scheduler
-     * (sim/domains.h): 0 (default) keeps the classic single-queue
-     * kernel with its original event order; any value >= 1 partitions
-     * the machine into one domain per tile and runs bound phases on
-     * min(simThreads, numCores) threads. Every simThreads >= 1 value
-     * produces byte-identical results to simThreads == 1.
+     * Kept so existing callers still compile; the single-queue kernel
+     * is the only one, so the constructor asserts this is 0.
      */
     unsigned simThreads = 0;
 
@@ -114,7 +110,7 @@ class Manycore
     {
         return *dirs_.at(n);
     }
-    /** Tile @p n's core model (coroutine-family frontends only). */
+    /** Tile @p n's core model. */
     cpu::Core &core(sim::NodeId n);
     std::uint32_t numCores() const { return cfg_.numCores; }
 
@@ -131,7 +127,7 @@ class Manycore
 
     /**
      * Run @p program on every core (thread id == core id) until all
-     * cores finish and the machine quiesces. Replay frontends ignore
+     * cores finish and the machine quiesces. The replay frontend ignores
      * @p program and drive their installed trace instead.
      *
      * @param watchdog_cycles fatal() if the machine has not quiesced

@@ -5,27 +5,26 @@
  *  - extraction gate: the coroutine frontend behind the Frontend
  *    interface is byte-identical to a plain run, recording is pure
  *    observation, and full-fidelity replay reproduces the recording --
- *    all pinned across apps x protocols x sim-thread counts;
+ *    all pinned across apps x protocols;
  *  - widir-mtrace-v1: every record kind round-trips; bad magic, bad
  *    version, unknown kinds, and truncation are rejected loudly;
  *  - text ingestion: the documented grammar parses, and a garbage
  *    matrix (parseEnvInt style) fails with line-numbered errors;
- *  - fast replay: op-exact stats, and external text traces run as
- *    first-class registry workloads under both replay frontends.
+ *  - external text traces run as first-class registry workloads under
+ *    full replay.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
-#include <optional>
+#include <ostream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "frontend/frontend.h"
 #include "frontend/mtrace.h"
+#include "scratch_dir.h"
 #include "system/report.h"
 #include "workload/registry.h"
 
@@ -38,16 +37,8 @@ using frontend::Op;
 using frontend::OpKind;
 using sys::ExperimentResult;
 using sys::ExperimentSpec;
+using test::scratchPath;
 using workload::AppInfo;
-
-std::string
-tmpPath(const std::string &name)
-{
-    auto dir =
-        std::filesystem::temp_directory_path() / "widir_test_frontend";
-    std::filesystem::create_directories(dir);
-    return (dir / name).string();
-}
 
 /**
  * Simulated-machine stats as JSON with the host_* fields and the
@@ -67,51 +58,48 @@ statsJson(ExperimentResult r)
     return sys::resultToJson(r);
 }
 
-/**
- * Identity matrix fixture: spec.simThreads drives the kernel choice
- * directly, so WIDIR_SIM_THREADS must not leak in (spec value 0 defers
- * to the environment). Saved and restored around each test.
- */
-class FrontendIdentity
-    : public ::testing::TestWithParam<
-          std::tuple<const char *, coherence::Protocol, unsigned>>
+/** One identity-matrix cell: an app under one protocol. */
+struct IdentityCase
 {
-  protected:
-    void
-    SetUp() override
-    {
-        if (const char *e = std::getenv("WIDIR_SIM_THREADS"))
-            saved_ = e;
-        unsetenv("WIDIR_SIM_THREADS");
-    }
+    const char *app;
+    coherence::Protocol proto;
+};
 
-    void
-    TearDown() override
-    {
-        if (saved_)
-            setenv("WIDIR_SIM_THREADS", saved_->c_str(), 1);
-    }
+const char *
+protoTag(coherence::Protocol p)
+{
+    return p == coherence::Protocol::WiDir ? "widir" : "baseline";
+}
 
-  private:
-    std::optional<std::string> saved_;
+/**
+ * Prints the cell by value ("fft/widir"). The default tuple printer
+ * shows the app's char pointer, so the "GetParam() =" text in listed
+ * test names would change with every load address.
+ */
+void
+PrintTo(const IdentityCase &c, std::ostream *os)
+{
+    *os << c.app << '/' << protoTag(c.proto);
+}
+
+class FrontendIdentity : public ::testing::TestWithParam<IdentityCase>
+{
 };
 
 TEST_P(FrontendIdentity, RecordThenReplayReproducesTheRun)
 {
-    auto [app_name, proto, sim_threads] = GetParam();
+    auto [app_name, proto] = GetParam();
     const AppInfo *app = workload::findApp(app_name);
     ASSERT_NE(app, nullptr);
-    std::string path = tmpPath(
-        std::string("identity_") + app_name + "_" +
-        (proto == coherence::Protocol::WiDir ? "widir" : "baseline") +
-        "_st" + std::to_string(sim_threads) + ".mtrace");
+    std::string path = scratchPath(
+        std::string("identity_") + app_name + "_" + protoTag(proto) +
+        ".mtrace");
 
     ExperimentSpec base;
     base.app = app;
     base.protocol = proto;
     base.cores = 16;
     base.scale = 1;
-    base.simThreads = sim_threads;
     ExperimentResult plain = sys::runExperiment(base);
 
     // Recording is pure observation: stats byte-identical to plain.
@@ -131,7 +119,6 @@ TEST_P(FrontendIdentity, RecordThenReplayReproducesTheRun)
     rep_spec.replayPath = path;
     rep_spec.protocol = proto;
     rep_spec.cores = 16;
-    rep_spec.simThreads = sim_threads;
     ExperimentResult full = sys::runExperiment(rep_spec);
     EXPECT_EQ(statsJson(plain), statsJson(full));
     EXPECT_EQ(full.frontendKind, FrontendKind::ReplayFull);
@@ -140,23 +127,16 @@ TEST_P(FrontendIdentity, RecordThenReplayReproducesTheRun)
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, FrontendIdentity,
-    ::testing::Combine(::testing::Values("fft", "radiosity"),
-                       ::testing::Values(
-                           coherence::Protocol::BaselineMESI,
-                           coherence::Protocol::WiDir),
-                       ::testing::Values(0u, 4u)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<const char *, coherence::Protocol, unsigned>>
-           &info) {
-        std::string name = std::get<0>(info.param);
-        name += std::get<1>(info.param) == coherence::Protocol::WiDir
-            ? "_widir"
-            : "_baseline";
-        name += "_st" + std::to_string(std::get<2>(info.param));
-        for (auto &c : name)
-            if (c == '-')
-                c = '_';
-        return name;
+    ::testing::Values(
+        IdentityCase{"fft", coherence::Protocol::BaselineMESI},
+        IdentityCase{"fft", coherence::Protocol::WiDir},
+        IdentityCase{"radiosity", coherence::Protocol::BaselineMESI},
+        IdentityCase{"radiosity", coherence::Protocol::WiDir}),
+    [](const ::testing::TestParamInfo<IdentityCase> &info) {
+        // Fixed "_st0" suffix: the names date from a kernel-thread
+        // axis and stay stable for result tracking.
+        return std::string(info.param.app) + "_" +
+               protoTag(info.param.proto) + "_st0";
     });
 
 TEST(Mtrace, EveryKindRoundTrips)
@@ -193,7 +173,7 @@ TEST(Mtrace, EveryKindRoundTrips)
         {}, // an empty stream must survive too
         {{OpKind::Sync, cpu::SyncNote::BarrierArrive, 0, 33, 0}},
     };
-    std::string path = tmpPath("roundtrip.mtrace");
+    std::string path = scratchPath("roundtrip.mtrace");
     std::string err;
     ASSERT_TRUE(frontend::writeMtrace(path, t, err)) << err;
 
@@ -228,7 +208,7 @@ TEST(Mtrace, RejectsCorruptInput)
     MemTrace t;
     t.threads = {{{OpKind::Load, cpu::SyncNote::External, 64, 0, 0},
                   {OpKind::Store, cpu::SyncNote::External, 128, 1, 0}}};
-    std::string good = tmpPath("good.mtrace");
+    std::string good = scratchPath("good.mtrace");
     std::string err;
     ASSERT_TRUE(frontend::writeMtrace(good, t, err)) << err;
     std::string bytes;
@@ -250,7 +230,7 @@ TEST(Mtrace, RejectsCorruptInput)
     // garbage is not a valid text trace either).
     std::string bad_magic = bytes;
     bad_magic[0] = 'X';
-    std::string p = tmpPath("bad_magic.mtrace");
+    std::string p = scratchPath("bad_magic.mtrace");
     write(p, bad_magic);
     EXPECT_FALSE(frontend::readMtrace(p, out, err));
     EXPECT_NE(err.find("magic"), std::string::npos) << err;
@@ -259,7 +239,7 @@ TEST(Mtrace, RejectsCorruptInput)
     // Unsupported version.
     std::string bad_version = bytes;
     bad_version[8] = 99; // varint version field follows the magic
-    p = tmpPath("bad_version.mtrace");
+    p = scratchPath("bad_version.mtrace");
     write(p, bad_version);
     EXPECT_FALSE(frontend::readMtrace(p, out, err));
     EXPECT_NE(err.find("version"), std::string::npos) << err;
@@ -267,21 +247,21 @@ TEST(Mtrace, RejectsCorruptInput)
     // Unknown record kind.
     std::string bad_kind = bytes;
     bad_kind[bad_kind.size() - 3] = 0x7f; // the Store record's kind
-    p = tmpPath("bad_kind.mtrace");
+    p = scratchPath("bad_kind.mtrace");
     write(p, bad_kind);
     EXPECT_FALSE(frontend::readMtrace(p, out, err));
 
     // Truncation at every byte boundary must fail, never crash or
     // silently succeed with fewer ops.
     for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
-        p = tmpPath("truncated.mtrace");
+        p = scratchPath("truncated.mtrace");
         write(p, bytes.substr(0, cut));
         EXPECT_FALSE(frontend::readMtrace(p, out, err))
             << "cut at " << cut << " bytes";
     }
 
     // Trailing garbage is rejected too.
-    p = tmpPath("trailing.mtrace");
+    p = scratchPath("trailing.mtrace");
     write(p, bytes + "junk");
     EXPECT_FALSE(frontend::readMtrace(p, out, err));
 }
@@ -357,7 +337,7 @@ TEST(Frontend, KindNamesRoundTrip)
 {
     for (FrontendKind k :
          {FrontendKind::Coroutine, FrontendKind::Record,
-          FrontendKind::ReplayFull, FrontendKind::ReplayFast}) {
+          FrontendKind::ReplayFull}) {
         FrontendKind back{};
         ASSERT_TRUE(frontend::parseFrontendKind(
             frontend::frontendKindName(k), back));
@@ -399,7 +379,7 @@ TEST(Frontend, SpecValidationCatchesBadCombinations)
     const AppInfo *fft = workload::findApp("fft");
     ASSERT_NE(fft, nullptr);
     const AppInfo *tapp = workload::registerTraceApp(
-        "trace:validation", tmpPath("nonexistent.trc"));
+        "trace:validation", scratchPath("nonexistent.trc"));
 
     ExperimentSpec s;
     s.app = fft;
@@ -420,8 +400,14 @@ TEST(Frontend, SpecValidationCatchesBadCombinations)
 
     s = ExperimentSpec{};
     s.app = fft;
-    s.frontend = FrontendKind::ReplayFast; // no trace at all
+    s.frontend = FrontendKind::ReplayFull; // no trace at all
     EXPECT_FALSE(s.validate().empty());
+
+    s = ExperimentSpec{};
+    s.app = fft;
+    s.simThreads = 4; // the single-queue kernel is the only one
+    EXPECT_NE(s.validate().find("simThreads must be 0"),
+              std::string::npos);
 
     s = ExperimentSpec{};
     s.app = tapp; // trace app: replay path comes from the registry
@@ -436,64 +422,12 @@ TEST(Frontend, SpecValidationCatchesBadCombinations)
     EXPECT_FALSE(s.validate().empty());
 }
 
-TEST(FastReplay, StatsAreOpExact)
-{
-    // Record a real run, then fast-replay it: the direct-to-L1 driver
-    // issues exactly the recorded ops, so loads/stores/instructions
-    // are trace-countable.
-    const AppInfo *fft = workload::findApp("fft");
-    ASSERT_NE(fft, nullptr);
-    std::string path = tmpPath("fast.mtrace");
-    ExperimentSpec rec;
-    rec.app = fft;
-    rec.protocol = coherence::Protocol::WiDir;
-    rec.cores = 16;
-    rec.frontend = FrontendKind::Record;
-    rec.recordPath = path;
-    ExperimentResult recorded = sys::runExperiment(rec);
-
-    MemTrace t;
-    std::string err;
-    ASSERT_TRUE(frontend::readMtrace(path, t, err)) << err;
-    std::uint64_t loads = 0, stores = 0, rmws = 0, compute = 0;
-    for (const auto &ops : t.threads) {
-        for (const Op &op : ops) {
-            switch (op.kind) {
-              case OpKind::Load:
-              case OpKind::LoadNb: ++loads; break;
-              case OpKind::Store: ++stores; break;
-              case OpKind::Rmw: ++rmws; break;
-              case OpKind::Compute: compute += op.a; break;
-              default: break;
-            }
-        }
-    }
-
-    ExperimentSpec rep;
-    rep.app = fft;
-    rep.frontend = FrontendKind::ReplayFast;
-    rep.replayPath = path;
-    ExperimentResult fast = sys::runExperiment(rep);
-    EXPECT_EQ(fast.frontendKind, FrontendKind::ReplayFast);
-    EXPECT_EQ(fast.loads, loads);
-    EXPECT_EQ(fast.stores, stores + rmws);
-    EXPECT_EQ(fast.instructions,
-              compute + loads + stores + rmws);
-    EXPECT_GT(fast.cycles, 0u);
-    // Same ops, same machine: the miss totals agree with the recorded
-    // run's memory-system footprint in kind (nonzero), though not in
-    // timing.
-    EXPECT_GT(fast.readMisses + fast.writeMisses, 0u);
-    EXPECT_EQ(recorded.loads, fast.loads);
-    EXPECT_EQ(recorded.stores, fast.stores);
-}
-
 TEST(TextTrace, RunsAsRegistryWorkloadUnderBothReplayers)
 {
     // An external text trace is a first-class workload: registered,
-    // found, and runnable -- full fidelity re-drives the core model,
-    // fast drives the L1s, both honoring the S-token global order.
-    std::string path = tmpPath("external.txt");
+    // found, and runnable -- full replay re-drives the core model,
+    // honoring the S-token global order through the ReplayGate.
+    std::string path = scratchPath("external.txt");
     {
         std::ofstream f(path, std::ios::trunc);
         f << "# two producers, one consumer line\n"
@@ -509,29 +443,26 @@ TEST(TextTrace, RunsAsRegistryWorkloadUnderBothReplayers)
     ASSERT_NE(app, nullptr);
     ASSERT_EQ(workload::findApp("trace:external"), app);
 
-    for (FrontendKind kind :
-         {FrontendKind::ReplayFull, FrontendKind::ReplayFast}) {
-        ExperimentSpec s;
-        s.app = app;
-        s.frontend = kind;
-        s.protocol = coherence::Protocol::WiDir;
-        s.cores = 4;
-        ExperimentResult r = sys::runExperiment(s);
-        EXPECT_EQ(r.frontendKind, kind);
-        EXPECT_EQ(r.replayPath, path);
-        EXPECT_EQ(r.app, "trace:external");
-        EXPECT_EQ(r.loads, 2u) << frontend::frontendKindName(kind);
-        EXPECT_EQ(r.stores, 2u) << frontend::frontendKindName(kind);
-        EXPECT_GT(r.cycles, 0u);
-    }
-
-    // The default frontend auto-upgrades to full replay for trace
-    // apps -- `--trace-in` workloads run without any extra flags.
     ExperimentSpec s;
     s.app = app;
+    s.frontend = FrontendKind::ReplayFull;
+    s.protocol = coherence::Protocol::WiDir;
     s.cores = 4;
     ExperimentResult r = sys::runExperiment(s);
     EXPECT_EQ(r.frontendKind, FrontendKind::ReplayFull);
+    EXPECT_EQ(r.replayPath, path);
+    EXPECT_EQ(r.app, "trace:external");
+    EXPECT_EQ(r.loads, 2u);
+    EXPECT_EQ(r.stores, 2u);
+    EXPECT_GT(r.cycles, 0u);
+
+    // The default frontend auto-upgrades to full replay for trace
+    // apps -- `--trace-in` workloads run without any extra flags.
+    ExperimentSpec d;
+    d.app = app;
+    d.cores = 4;
+    EXPECT_EQ(sys::runExperiment(d).frontendKind,
+              FrontendKind::ReplayFull);
 }
 
 } // namespace

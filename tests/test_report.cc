@@ -10,11 +10,11 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
+#include "scratch_dir.h"
 #include "system/report.h"
 #include "system/sweep.h"
 #include "workload/registry.h"
@@ -168,10 +168,8 @@ TEST(Report, EveryFieldRoundTrips)
 
 TEST(Report, WriteCreatesDirectoriesAndValidJson)
 {
-    auto dir = std::filesystem::temp_directory_path() /
-               "widir_test_report" / "nested";
-    std::filesystem::remove_all(dir.parent_path());
-    auto path = (dir / "sweep.json").string();
+    // Neither directory level exists yet: writeResultsJson creates both.
+    std::string path = test::scratchPath("report/nested/sweep.json");
 
     std::vector<ExperimentResult> results = {fakeResult()};
     ASSERT_TRUE(sys::writeResultsJson(path, "disk_check", results));
@@ -185,7 +183,6 @@ TEST(Report, WriteCreatesDirectoriesAndValidJson)
     std::string err;
     ASSERT_TRUE(sys::json::parse(ss.str(), doc, &err)) << err;
     EXPECT_EQ(doc.find("name")->string, "disk_check");
-    std::filesystem::remove_all(dir.parent_path());
 }
 
 TEST(Report, EmptySweepIsValidJson)
@@ -325,14 +322,14 @@ TEST(Report, FrontendBlockRoundTripsOnlyWhenNonDefault)
 
     // Replay run: kind + replay_path, no record_path.
     ExperimentResult rep = fakeResult();
-    rep.frontendKind = frontend::FrontendKind::ReplayFast;
+    rep.frontendKind = frontend::FrontendKind::ReplayFull;
     rep.replayPath = "out/traces/fft.mtrace";
     ASSERT_TRUE(sys::json::parse(sys::resultsToJson("rep", {rep}), doc,
                                  &err))
         << err;
     fb = doc.find("results")->array[0].find("frontend");
     ASSERT_TRUE(fb && fb->isObject());
-    EXPECT_EQ(fb->find("kind")->string, "replay-fast");
+    EXPECT_EQ(fb->find("kind")->string, "replay-full");
     EXPECT_EQ(fb->find("replay_path")->string, rep.replayPath);
     EXPECT_EQ(fb->find("record_path"), nullptr);
 }

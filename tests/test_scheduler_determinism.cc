@@ -15,9 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "sim/event_queue.h"
@@ -54,17 +51,6 @@ statsJson(const ExperimentSpec &spec, bool force_heap)
     return sys::resultToJson(r);
 }
 
-/** Same, but through the bound/weave kernel with @p threads workers. */
-std::string
-statsJsonThreaded(ExperimentSpec spec, unsigned threads)
-{
-    spec.simThreads = threads;
-    ExperimentResult r = sys::runExperiment(spec);
-    r.hostSeconds = 0.0;
-    r.hostEventsPerSec = 0.0;
-    return sys::resultToJson(r);
-}
-
 class SchedulerDeterminism
     : public ::testing::TestWithParam<
           std::tuple<const char *, coherence::Protocol>>
@@ -81,59 +67,6 @@ TEST_P(SchedulerDeterminism, HybridMatchesPureHeapByteForByte)
     // executed_events, cycles, every histogram, every energy figure:
     // all of it must agree, not just the headline cycle count.
     EXPECT_EQ(hybrid, heap_only);
-}
-
-/**
- * The bound/weave kernel (sim/domains.h) defines one canonical event
- * schedule for all simThreads >= 1; the host thread count must be
- * invisible in the results. This is the determinism contract
- * docs/PERF.md states and the one the WIDIR_SIM_THREADS CI lane
- * relies on: stats at 1, 2, and 4 threads are byte-identical.
- */
-TEST_P(SchedulerDeterminism, BoundWeaveThreadCountInvisible)
-{
-    auto [app, proto] = GetParam();
-    ASSERT_NE(workload::findApp(app), nullptr);
-    ExperimentSpec spec = specFor(app, proto);
-    std::string one = statsJsonThreaded(spec, 1);
-    std::string two = statsJsonThreaded(spec, 2);
-    std::string four = statsJsonThreaded(spec, 4);
-    EXPECT_EQ(one, two);
-    EXPECT_EQ(one, four);
-}
-
-/**
- * Same contract for the protocol trace: the record stream (which the
- * legality checker consumes and the Chrome exporter serializes) must
- * not change with the host thread count either. Export the Chrome
- * trace-event JSON at each thread count and compare the files byte
- * for byte -- the exporter serializes records in emission order, so
- * equal files mean an equal stream.
- */
-TEST_P(SchedulerDeterminism, BoundWeaveTraceThreadCountInvisible)
-{
-    auto [app, proto] = GetParam();
-    ASSERT_NE(workload::findApp(app), nullptr);
-    auto traced = [&](unsigned threads) {
-        std::string path = ::testing::TempDir() + "widir_trace_" +
-                           std::string(app) + "_" +
-                           std::to_string(threads) + ".json";
-        ExperimentSpec spec = specFor(app, proto);
-        spec.simThreads = threads;
-        spec.trace.enabled = true;
-        spec.trace.file = path;
-        sys::runExperiment(spec);
-        std::ifstream in(path, std::ios::binary);
-        EXPECT_TRUE(in.good()) << "missing trace file " << path;
-        std::ostringstream body;
-        body << in.rdbuf();
-        std::remove(path.c_str());
-        return body.str();
-    };
-    std::string one = traced(1);
-    EXPECT_FALSE(one.empty());
-    EXPECT_EQ(one, traced(2));
-    EXPECT_EQ(one, traced(4));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -23,6 +23,7 @@
 #include "core/directory_controller.h"
 #include "core/l1_controller.h"
 #include "mem/address.h"
+#include "scratch_dir.h"
 #include "system/experiment.h"
 #include "system/manycore.h"
 #include "system/report.h"
@@ -192,7 +193,7 @@ TEST(Tracer, TracingDoesNotPerturbStats)
 
 TEST(Tracer, ChromeExportIsValidTraceEventJson)
 {
-    std::string path = testing::TempDir() + "widir_trace_test.json";
+    std::string path = test::scratchPath("chrome_export.json");
     sys::ExperimentSpec spec;
     spec.app = workload::findApp("fft");
     ASSERT_NE(spec.app, nullptr);

@@ -8,11 +8,9 @@
 #
 # MODE:
 #   asan (default)  -DWIDIR_SANITIZE=ON: AddressSanitizer + UBSan.
-#   tsan            -DWIDIR_SANITIZE_THREAD=ON: ThreadSanitizer, and
-#                   the suite runs with WIDIR_SIM_THREADS=4 so every
-#                   runExperiment-backed test exercises the bound/weave
-#                   parallel kernel's worker pool (src/sim/domains.h)
-#                   on top of the SweepRunner pool.
+#   tsan            -DWIDIR_SANITIZE_THREAD=ON: ThreadSanitizer over
+#                   the SweepRunner worker pool, which runs one
+#                   simulation per host thread.
 #
 # Registered as the `san_check` CTest (CONFIGURATIONS asan) and
 # `tsan_check` (CONFIGURATIONS tsan): run with
@@ -45,9 +43,8 @@ cmake --build "$BUILD" -j "$JOBS" >/dev/null
 
 cd "$BUILD"
 if [ "$MODE" = tsan ]; then
-    echo "running tier-1 tests under TSan (WIDIR_SIM_THREADS=4)..."
+    echo "running tier-1 tests under TSan..."
     TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
-    WIDIR_SIM_THREADS=4 \
         ctest --output-on-failure -j "$JOBS"
 else
     echo "running tier-1 tests under ASan+UBSan..."
