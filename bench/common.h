@@ -34,9 +34,6 @@
  *   --home-map M          directory sharding: interleave | hash
  *   --record DIR          record a widir-mtrace-v1 trace per
  *                         configuration into DIR (docs/FRONTEND.md)
- *   --replay full         replay trace-driven apps through the core
- *                         model (what they do anyway; accepted so
- *                         scripts can name the mode)
  *   --trace-in FILE       register FILE (mtrace or text format) as
  *                         workload "trace:<stem>" and select it via
  *                         WIDIR_BENCH_APPS when that is unset
@@ -55,8 +52,11 @@
 #ifndef WIDIR_BENCH_COMMON_H
 #define WIDIR_BENCH_COMMON_H
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -178,7 +178,7 @@ class Options
              [this](const char *) { traceOn_ = true; }},
             {"--trace-window", "LO:HI",
              "restrict tracing to a cycle window (implies --trace)",
-             [this](const char *v) { parseWindow(v); }},
+             [this](const char *v) { parseWindow("--trace-window", v); }},
             {"--ber", "B",
              "wireless frame bit-error rate (repeatable)",
              [this](const char *v) {
@@ -203,15 +203,18 @@ class Options
             {"--fault-retries", "N",
              "per-transmission retry budget before wired fallback",
              [this](const char *v) {
-                 long n = std::strtol(v, nullptr, 10);
-                 if (n <= 0)
-                     die("invalid --fault-retries value '%s'", v);
+                 std::uint64_t n = 0;
+                 if (!parseUnsigned(v, 1, UINT32_MAX, n))
+                     die("invalid --fault-retries value '%s' (want "
+                         "1..4294967295)", v);
                  fault_.retryBudget = static_cast<std::uint32_t>(n);
              }},
             {"--fault-seed", "N",
              "extra seed folded into the fault RNG stream",
              [this](const char *v) {
-                 fault_.seed = std::strtoull(v, nullptr, 10);
+                 if (!parseUnsigned(v, 0, UINT64_MAX, fault_.seed))
+                     die("invalid --fault-seed value '%s' (want an "
+                         "unsigned 64-bit integer)", v);
              }},
             {"--tiles", "N",
              "tile (core) count; repeatable where a bench sweeps core "
@@ -257,13 +260,6 @@ class Options
                      die("--record wants a directory");
                  recordDir_ = v;
              }},
-            {"--replay", "full",
-             "replay trace-driven apps through the core model (their "
-             "default; the only replayer)",
-             [this](const char *v) {
-                 if (std::strcmp(v, "full") != 0)
-                     die("invalid --replay value '%s' (want full)", v);
-             }},
             {"--trace-in", "FILE",
              "register FILE (mtrace or text format) as workload "
              "'trace:<stem>'; selected via WIDIR_BENCH_APPS when unset",
@@ -277,7 +273,7 @@ class Options
         if (const char *env = std::getenv("WIDIR_TRACE"))
             traceOn_ = *env && std::strcmp(env, "0") != 0;
         if (const char *env = std::getenv("WIDIR_TRACE_WINDOW"))
-            parseWindow(env);
+            parseWindow("WIDIR_TRACE_WINDOW", env);
 
         for (int i = 1; i < argc; ++i) {
             const char *arg = argv[i];
@@ -393,16 +389,41 @@ class Options
         std::exit(2);
     }
 
-    void
-    parseWindow(const char *val)
+    /**
+     * Strict decimal parse into [@p lo, @p hi]: digits only (strtoull
+     * alone skips blanks, accepts a sign and wraps "-1" to the
+     * maximum), nothing trailing, no overflow.
+     */
+    static bool
+    parseUnsigned(const char *text, std::uint64_t lo, std::uint64_t hi,
+                  std::uint64_t &out)
     {
+        if (!std::isdigit(static_cast<unsigned char>(*text)))
+            return false;
+        errno = 0;
         char *end = nullptr;
-        unsigned long long lo = std::strtoull(val, &end, 10);
-        if (!end || *end != ':')
-            die("trace window must be LO:HI, got '%s'", val);
-        unsigned long long hi = std::strtoull(end + 1, nullptr, 10);
-        traceLo_ = static_cast<sim::Tick>(lo);
-        traceHi_ = static_cast<sim::Tick>(hi);
+        unsigned long long v = std::strtoull(text, &end, 10);
+        if (*end != '\0' || errno == ERANGE || v < lo || v > hi)
+            return false;
+        out = v;
+        return true;
+    }
+
+    /** LO:HI cycle window from flag or environment variable @p what. */
+    void
+    parseWindow(const char *what, const char *val)
+    {
+        const char *colon = std::strchr(val, ':');
+        std::uint64_t lo = 0;
+        std::uint64_t hi = 0;
+        if (colon == nullptr ||
+            !parseUnsigned(std::string(val, colon).c_str(), 0,
+                           UINT64_MAX, lo) ||
+            !parseUnsigned(colon + 1, lo, UINT64_MAX, hi))
+            die("invalid %s value '%s' (want LO:HI cycles, LO <= HI)",
+                what, val);
+        traceLo_ = lo;
+        traceHi_ = hi;
         traceOn_ = true;
     }
 

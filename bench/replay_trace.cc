@@ -1,17 +1,17 @@
 /**
  * @file
  * Standalone record/replay driver (docs/FRONTEND.md): runs one trace
- * file -- widir-mtrace-v1 or the text ingestion format -- through a
- * replay frontend and optionally byte-diffs the resulting stats
+ * file -- widir-mtrace-v1 or the text ingestion format -- through
+ * full-fidelity replay and optionally byte-diffs the resulting stats
  * against a reference widir-sweep-v1 document (e.g. the one the
  * recording run wrote). The full-fidelity contract is that the diff is
  * empty modulo the host_* fields and the frontend echo block, which
  * describe the host process and the stimulus plumbing rather than the
  * simulated machine.
  *
- *   replay_trace --trace-in FILE [--replay full]
- *                [--protocol widir|baseline] [--tiles N] [--scale N]
- *                [--out FILE.json] [--diff REF.json]
+ *   replay_trace --trace-in FILE [--protocol widir|baseline]
+ *                [--tiles N] [--scale N] [--out FILE.json]
+ *                [--diff REF.json]
  *
  * The machine flags only matter for headerless text traces; a recorded
  * trace carries its machine and overrides them. Exits 0 on success,
@@ -37,10 +37,9 @@ usage(const char *why)
     std::fprintf(stderr,
                  "replay_trace: %s\n"
                  "usage: replay_trace --trace-in FILE "
-                 "[--replay full]\n"
-                 "       [--protocol widir|baseline] [--tiles N] "
-                 "[--scale N]\n"
-                 "       [--out FILE.json] [--diff REF.json]\n",
+                 "[--protocol widir|baseline]\n"
+                 "       [--tiles N] [--scale N] [--out FILE.json] "
+                 "[--diff REF.json]\n",
                  why);
     std::exit(2);
 }
@@ -129,9 +128,6 @@ main(int argc, char **argv)
         };
         if (!std::strcmp(arg, "--trace-in")) {
             trace_in = operand();
-        } else if (!std::strcmp(arg, "--replay")) {
-            if (std::strcmp(operand(), "full") != 0)
-                usage("--replay wants full");
         } else if (!std::strcmp(arg, "--protocol")) {
             const char *v = operand();
             if (!std::strcmp(v, "widir"))

@@ -1,8 +1,6 @@
 #include "core/directory_controller.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "mem/address.h"
 #include "sim/log.h"
@@ -142,13 +140,6 @@ void
 DirectoryController::nack(const Msg &msg)
 {
     ++stats_.nacksSent;
-    if (const char *env = std::getenv("WIDIR_NACK_DEBUG")) {
-        (void)env;
-        DirTxn *t = txnOf(msg.line);
-        std::fprintf(stderr, "NACK line=%llx txn=%d\n",
-                     (unsigned long long)lineAlign(msg.line),
-                     t ? (int)t->type : -1);
-    }
     Msg resp;
     resp.type = MsgType::Nack;
     resp.dst = msg.src;

@@ -5,8 +5,6 @@
 #include <memory>
 #include <tuple>
 
-#include "sim/log.h"
-
 namespace widir::frontend {
 
 namespace {
@@ -217,124 +215,6 @@ makeReplayProgram(const MemTrace &trace, ReplayGate *gate)
             }
         }
     };
-}
-
-namespace {
-
-// ---------------------------------------------------------------------
-// Coroutine frontend (also hosts Record and ReplayFull)
-// ---------------------------------------------------------------------
-
-class CoroutineFrontend final : public Frontend
-{
-  public:
-    CoroutineFrontend(FrontendKind kind, sim::Simulator &sim,
-                      const std::vector<coherence::L1Controller *> &l1s,
-                      const cpu::CoreConfig &core_cfg,
-                      const MemTrace *trace)
-        : kind_(kind), trace_(trace)
-    {
-        const auto n = static_cast<std::uint32_t>(l1s.size());
-        if (kind_ == FrontendKind::Record)
-            recorder_ = std::make_unique<Recorder>(n);
-        if (kind_ == FrontendKind::ReplayFull && trace_ != nullptr &&
-            !trace_->header.hasMachine && trace_->hasSync())
-            gate_ = std::make_unique<ReplayGate>(*trace_);
-        cores_.reserve(n);
-        for (sim::NodeId node = 0; node < n; ++node)
-        {
-            cores_.push_back(std::make_unique<cpu::Core>(
-                sim, *l1s[node], node, core_cfg));
-            if (recorder_)
-                cores_.back()->setOpSink(&recorder_->sink(node));
-        }
-    }
-
-    FrontendKind kind() const override { return kind_; }
-
-    void
-    start(const cpu::Program &program) override
-    {
-        cpu::Program p = program;
-        if (kind_ == FrontendKind::ReplayFull)
-        {
-            WIDIR_ASSERT(trace_ != nullptr,
-                         "replay frontend without a trace");
-            p = makeReplayProgram(*trace_, gate_.get());
-        }
-        WIDIR_ASSERT(static_cast<bool>(p),
-                     "coroutine frontend started without a program");
-        const auto n = static_cast<std::uint32_t>(cores_.size());
-        for (auto &core : cores_)
-            core->start(p, n, 0);
-    }
-
-    bool
-    allFinished() const override
-    {
-        for (const auto &core : cores_)
-            if (!core->finished())
-                return false;
-        return true;
-    }
-
-    sim::Tick
-    finishTick() const override
-    {
-        sim::Tick end = 0;
-        for (const auto &core : cores_)
-            end = std::max(end, core->finishTick());
-        return end;
-    }
-
-    cpu::Core::Stats
-    cpuTotals() const override
-    {
-        cpu::Core::Stats total;
-        for (const auto &core : cores_)
-        {
-            const auto &s = core->stats();
-            total.instructions += s.instructions;
-            total.loads += s.loads;
-            total.stores += s.stores;
-            total.rmws += s.rmws;
-            total.memStallCycles += s.memStallCycles;
-            total.loadLatencySum += s.loadLatencySum;
-            total.storeLatencySum += s.storeLatencySum;
-        }
-        return total;
-    }
-
-    cpu::Core *
-    core(sim::NodeId n) override
-    {
-        return cores_.at(n).get();
-    }
-
-    Recorder *recorder() override { return recorder_.get(); }
-
-  private:
-    FrontendKind kind_;
-    const MemTrace *trace_;
-    // Cores hold the replay coroutines, which reference the gate:
-    // declare the gate first so the cores are destroyed before it.
-    std::unique_ptr<ReplayGate> gate_;
-    std::unique_ptr<Recorder> recorder_;
-    std::vector<std::unique_ptr<cpu::Core>> cores_;
-};
-
-} // namespace
-
-std::unique_ptr<Frontend>
-makeFrontend(const FrontendSpec &spec, sim::Simulator &sim,
-             const std::vector<coherence::L1Controller *> &l1s,
-             const cpu::CoreConfig &core_cfg)
-{
-    if (spec.kind == FrontendKind::ReplayFull)
-        WIDIR_ASSERT(spec.trace != nullptr,
-                     "replay-full frontend needs a trace");
-    return std::make_unique<CoroutineFrontend>(spec.kind, sim, l1s,
-                                               core_cfg, spec.trace);
 }
 
 } // namespace widir::frontend

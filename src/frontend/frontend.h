@@ -1,17 +1,17 @@
 /**
  * @file
- * Frontend: the pluggable stimulus source of a simulated machine.
+ * Stimulus sources for a simulated machine.
  *
- * The timing side (L1 controllers, directories, NoCs, memory) is fixed
- * by the Manycore; what *drives* it is a Frontend:
+ * The machine never knows what drives it: every tile's core runs the
+ * Program given to sys::Manycore::run(). That Program is either
  *
- *  - Coroutine: the out-of-order core model executing a workload
- *    program (the classic configuration -- byte-identical to the
- *    pre-frontend machine);
- *  - Record: Coroutine plus an OpSink tap writing widir-mtrace-v1
- *    (pure observation: stats identical to an unrecorded run);
- *  - ReplayFull: the core model re-driven from a recorded trace --
- *    reproduces the recording's stats byte-identically.
+ *  - Coroutine: a workload kernel (the classic configuration);
+ *  - Record: the same kernel, with a Recorder (record.h) tapped onto
+ *    each core as its cpu::OpSink (pure observation: stats identical
+ *    to an unrecorded run);
+ *  - ReplayFull: makeReplayProgram(), re-issuing a recorded trace
+ *    through the core model -- reproduces the recording's stats
+ *    byte-identically.
  *
  * Fidelity contracts are specified in docs/FRONTEND.md.
  */
@@ -20,14 +20,12 @@
 #define WIDIR_FRONTEND_FRONTEND_H
 
 #include <cstdint>
-#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "cpu/core.h"
 #include "cpu/thread.h"
 #include "frontend/mtrace.h"
-#include "frontend/record.h"
-#include "sim/simulator.h"
 
 namespace widir::frontend {
 
@@ -44,16 +42,6 @@ const char *frontendKindName(FrontendKind kind);
 
 /** Parse a frontendKindName() string; false on unknown name. */
 bool parseFrontendKind(std::string_view name, FrontendKind &out);
-
-/**
- * Frontend construction request. For ReplayFull @p trace must
- * point at a trace that outlives the frontend.
- */
-struct FrontendSpec
-{
-    FrontendKind kind = FrontendKind::Coroutine;
-    const MemTrace *trace = nullptr;
-};
 
 /**
  * Serializes the sync-event tokens of a trace into their recorded
@@ -110,48 +98,9 @@ std::string validateTrace(const MemTrace &trace,
  * byte-identically. @p gate is null for recorded (machine-stamped)
  * traces -- their timing alone reproduces the ordering -- and set for
  * headerless text traces, whose sync tokens then serialize through it.
+ * @p trace and @p gate must outlive the cores that run the program.
  */
 cpu::Program makeReplayProgram(const MemTrace &trace, ReplayGate *gate);
-
-/** One stimulus source bound to a machine's L1 controllers. */
-class Frontend
-{
-  public:
-    virtual ~Frontend() = default;
-
-    virtual FrontendKind kind() const = 0;
-
-    /**
-     * Start the stimulus at tick 0 (schedules the kickoff events; the
-     * caller then runs the simulator). ReplayFull ignores
-     * @p program.
-     */
-    virtual void start(const cpu::Program &program) = 0;
-
-    /** Every stimulus stream ran to completion and drained. */
-    virtual bool allFinished() const = 0;
-
-    /** Max finish tick over all streams (valid once allFinished()). */
-    virtual sim::Tick finishTick() const = 0;
-
-    /** CPU-side statistics summed over all streams. */
-    virtual cpu::Core::Stats cpuTotals() const = 0;
-
-    /** The core model of tile @p n. */
-    virtual cpu::Core *core(sim::NodeId n) = 0;
-
-    /** The recorder (Record kind only, else null). */
-    virtual Recorder *recorder() = 0;
-};
-
-/**
- * Build the frontend selected by @p spec for a machine with one L1
- * controller per tile. @p l1s and @p trace must outlive the frontend.
- */
-std::unique_ptr<Frontend>
-makeFrontend(const FrontendSpec &spec, sim::Simulator &sim,
-             const std::vector<coherence::L1Controller *> &l1s,
-             const cpu::CoreConfig &core_cfg);
 
 } // namespace widir::frontend
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Recorder: the cpu::OpSink implementation behind the recording
- * frontend. One ThreadRecorder per core appends to a private op
- * buffer.
+ * Recorder: the cpu::OpSink tap behind Record runs. Each core gets
+ * one ThreadRecorder (Manycore::core(n).setOpSink(&rec.sink(n))),
+ * which appends to a private op buffer.
  *
  * Recording is pure observation (see cpu/op_sink.h): the recorded run
  * is byte-identical to the same run unrecorded.
@@ -146,9 +146,8 @@ class Recorder
         sync(cpu::SyncNote kind, sim::Addr addr,
              sim::Tick now) override
         {
-            // The completion tick is the ordering key the fast
-            // replayer's gate sorts on -- deterministic under both
-            // event kernels.
+            // The completion tick is the ordering key the
+            // ReplayGate sorts on.
             ops.push_back({OpKind::Sync, kind, addr, now, 0, {}});
         }
     };

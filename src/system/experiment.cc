@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "frontend/mtrace.h"
+#include "frontend/record.h"
 #include "sim/log.h"
 #include "system/checker.h"
 #include "system/manycore.h"
@@ -222,12 +223,17 @@ runExperiment(const ExperimentSpec &spec)
     cfg.wnoc.numChannels = wchan;
     cfg.protocol.homeMap = home_map;
 
+    // The cores' coroutines reference the gate and the recorder's
+    // sinks: declare both before the machine so they outlive it.
+    std::unique_ptr<frontend::ReplayGate> gate;
+    if (is_replay && !trace.header.hasMachine && trace.hasSync())
+        gate = std::make_unique<frontend::ReplayGate>(trace);
+    std::unique_ptr<frontend::Recorder> recorder;
     Manycore m(cfg);
-    if (fk != frontend::FrontendKind::Coroutine) {
-        frontend::FrontendSpec fs;
-        fs.kind = fk;
-        fs.trace = is_replay ? &trace : nullptr;
-        m.installFrontend(fs);
+    if (fk == frontend::FrontendKind::Record) {
+        recorder = std::make_unique<frontend::Recorder>(cores);
+        for (sim::NodeId n = 0; n < cores; ++n)
+            m.core(n).setOpSink(&recorder->sink(n));
     }
     workload::WorkloadParams params;
     params.scale = scale;
@@ -263,11 +269,10 @@ runExperiment(const ExperimentSpec &spec)
     r.frontendKind = fk;
     r.recordPath = spec.recordPath;
     r.replayPath = is_replay ? replay_path : std::string();
-    // The replay frontends ignore the program; a trace app has no
-    // kernel to wrap, so only build one when it will actually run.
-    cpu::Program program;
-    if (!is_replay)
-        program = workload::makeProgram(*spec.app, params);
+    // A trace app has no kernel to wrap: replay re-issues the trace.
+    cpu::Program program =
+        is_replay ? frontend::makeReplayProgram(trace, gate.get())
+                  : workload::makeProgram(*spec.app, params);
     auto host_start = std::chrono::steady_clock::now();
     r.cycles = m.run(program, 2'000'000'000ull);
     std::chrono::duration<double> host_elapsed =
@@ -293,7 +298,7 @@ runExperiment(const ExperimentSpec &spec)
         h.meshConcentration = mesh_conc;
         h.wirelessChannels = wchan;
         h.seed = seed;
-        frontend::MemTrace rec = m.frontend()->recorder()->finish(h);
+        frontend::MemTrace rec = recorder->finish(h);
         std::string werr;
         if (!frontend::writeMtrace(spec.recordPath, rec, werr))
             sim::fatal("experiment %s: %s", app_name.c_str(),

@@ -1,5 +1,7 @@
 #include "system/manycore.h"
 
+#include <algorithm>
+
 #include "sim/log.h"
 
 namespace widir::sys {
@@ -71,47 +73,49 @@ Manycore::Manycore(const SystemConfig &cfg) : cfg_(cfg)
         }
     }
 
+    // Core construction draws no random number and schedules no
+    // event, so building the cores here cannot shift a run.
+    cores_.reserve(cfg_.numCores);
+    for (sim::NodeId n = 0; n < cfg_.numCores; ++n)
+        cores_.push_back(
+            std::make_unique<cpu::Core>(*sim_, *l1_ptrs[n], n, cfg_.core));
 }
 
 Manycore::~Manycore() = default;
 
-void
-Manycore::installFrontend(const frontend::FrontendSpec &spec)
-{
-    WIDIR_ASSERT(!frontend_, "frontend installed twice");
-    std::vector<coherence::L1Controller *> l1_ptrs;
-    l1_ptrs.reserve(l1s_.size());
-    for (const auto &l1 : l1s_)
-        l1_ptrs.push_back(l1.get());
-    frontend_ =
-        frontend::makeFrontend(spec, *sim_, l1_ptrs, cfg_.core);
-}
-
-cpu::Core &
-Manycore::core(sim::NodeId n)
-{
-    WIDIR_ASSERT(frontend_, "no frontend installed");
-    return *frontend_->core(n);
-}
-
 sim::Tick
 Manycore::run(const Program &program, sim::Tick watchdog_cycles)
 {
-    if (!frontend_)
-        installFrontend(frontend::FrontendSpec{});
-    frontend_->start(program);
+    WIDIR_ASSERT(static_cast<bool>(program), "run() without a program");
+    for (auto &core : cores_)
+        core->start(program, cfg_.numCores, 0);
     sim_->runOrDie(watchdog_cycles, "manycore program");
-    WIDIR_ASSERT(frontend_->allFinished(),
-                 "machine quiesced with an unfinished core "
-                 "(thread deadlocked on memory values?)");
-    return frontend_->finishTick();
+    sim::Tick end = 0;
+    for (const auto &core : cores_) {
+        WIDIR_ASSERT(core->finished(),
+                     "machine quiesced with unfinished core %u "
+                     "(thread deadlocked on memory values?)",
+                     core->nodeId());
+        end = std::max(end, core->finishTick());
+    }
+    return end;
 }
 
 cpu::Core::Stats
 Manycore::cpuTotals() const
 {
-    WIDIR_ASSERT(frontend_, "no frontend installed");
-    return frontend_->cpuTotals();
+    cpu::Core::Stats total;
+    for (const auto &core : cores_) {
+        const auto &s = core->stats();
+        total.instructions += s.instructions;
+        total.loads += s.loads;
+        total.stores += s.stores;
+        total.rmws += s.rmws;
+        total.memStallCycles += s.memStallCycles;
+        total.loadLatencySum += s.loadLatencySum;
+        total.storeLatencySum += s.storeLatencySum;
+    }
+    return total;
 }
 
 std::uint64_t
@@ -187,15 +191,9 @@ Manycore::sharersUpdatedTotals() const
 {
     sim::BinnedHistogram total({5, 10, 25, 49}, true);
     for (const auto &dir : dirs_) {
-        const auto &h = dir->sharersUpdatedHistogram();
-        const auto &bins = h.bins();
-        for (const auto &bin : bins) {
-            // Re-sample by bin midpoint weight-preserving: bins are
-            // identical across slices, so add counts directly.
-            (void)bin;
-        }
-        // Identical binning: merge counts via sample() of lower bound.
-        for (const auto &bin : bins) {
+        // Every slice uses the same bins, so sampling each bin's
+        // lower bound with its count merges the counts exactly.
+        for (const auto &bin : dir->sharersUpdatedHistogram().bins()) {
             if (bin.count > 0)
                 total.sample(bin.lo, bin.count);
         }

@@ -27,7 +27,6 @@
 #include "cpu/task.h"
 #include "cpu/thread.h"
 #include "fault/fault.h"
-#include "frontend/frontend.h"
 #include "mem/main_memory.h"
 #include "noc/mesh.h"
 #include "sim/simulator.h"
@@ -110,25 +109,18 @@ class Manycore
     {
         return *dirs_.at(n);
     }
-    /** Tile @p n's core model. */
-    cpu::Core &core(sim::NodeId n);
+    /**
+     * Tile @p n's core model, valid from construction: a recorder
+     * taps it with setOpSink() before run() (docs/FRONTEND.md).
+     */
+    cpu::Core &core(sim::NodeId n) { return *cores_.at(n); }
     std::uint32_t numCores() const { return cfg_.numCores; }
 
     /**
-     * Select the stimulus source (docs/FRONTEND.md). Must be called
-     * before run(); without it, run() installs the default coroutine
-     * frontend -- the classic machine, byte-identical to the
-     * pre-frontend build. A FrontendSpec trace must outlive the run.
-     */
-    void installFrontend(const frontend::FrontendSpec &spec);
-
-    /** The installed frontend, or null before installation. */
-    frontend::Frontend *frontend() { return frontend_.get(); }
-
-    /**
      * Run @p program on every core (thread id == core id) until all
-     * cores finish and the machine quiesces. The replay frontend ignores
-     * @p program and drive their installed trace instead.
+     * cores finish and the machine quiesces. The program is the whole
+     * stimulus: a workload kernel, or frontend::makeReplayProgram()
+     * re-issuing a recorded trace.
      *
      * @param watchdog_cycles fatal() if the machine has not quiesced
      *        by this simulated cycle (protocol hang detector).
@@ -165,7 +157,10 @@ class Manycore
     std::unique_ptr<coherence::CoherenceFabric> fabric_;
     std::vector<std::unique_ptr<coherence::DirectoryController>> dirs_;
     std::vector<std::unique_ptr<coherence::L1Controller>> l1s_;
-    std::unique_ptr<frontend::Frontend> frontend_;
+    // Declared last so it is destroyed first: a core's coroutine may
+    // still reference its L1, and its completion callback is
+    // registered on it.
+    std::vector<std::unique_ptr<cpu::Core>> cores_;
 };
 
 } // namespace widir::sys

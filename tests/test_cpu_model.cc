@@ -59,6 +59,7 @@ TEST(CpuModel, ComputeCostScalesLinearly)
 TEST(CpuModel, BlockingLoadStallsAccounted)
 {
     Manycore m(uni());
+    EXPECT_EQ(m.core(0).nodeId(), 0u); // cores exist before run()
     m.run([](Thread &t) -> Task {
         // A cold load: memory round trip dominates; all of it is
         // memory stall (nothing else to retire).

@@ -40,7 +40,7 @@ if [ -z "$trace" ] || [ ! -f "$ref" ]; then
 fi
 
 echo "== replay (full fidelity): $trace"
-"$replay" --trace-in "$trace" --replay full \
+"$replay" --trace-in "$trace" \
     --out "$work/replay_full.json" --diff "$ref"
 
 echo "replay_check: OK ($work)"
