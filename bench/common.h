@@ -47,6 +47,9 @@
  *   WIDIR_BENCH_OUT     JSON output directory (default bench/out)
  *   WIDIR_TRACE         non-empty and not "0": same as --trace
  *   WIDIR_TRACE_WINDOW  LO:HI cycle window (same as --trace-window)
+ *
+ * A malformed numeric knob exits with status 2 and names the variable,
+ * like a malformed flag.
  */
 
 #ifndef WIDIR_BENCH_COMMON_H
@@ -121,7 +124,10 @@ benchApps()
     return selected;
 }
 
-/** Core count override. */
+/**
+ * Core count override: WIDIR_BENCH_CORES, else @p fallback. A
+ * malformed value exits with status 2, like a malformed flag.
+ */
 inline std::uint32_t
 benchCores(std::uint32_t fallback)
 {
@@ -129,8 +135,9 @@ benchCores(std::uint32_t fallback)
         long v = 0;
         if (sys::parseEnvInt(env, 1, 1'000'000, v))
             return static_cast<std::uint32_t>(v);
-        std::fprintf(stderr, "ignoring invalid WIDIR_BENCH_CORES='%s'\n",
+        std::fprintf(stderr, "invalid WIDIR_BENCH_CORES value '%s'\n",
                      env);
+        std::exit(2);
     }
     return fallback;
 }

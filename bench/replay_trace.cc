@@ -18,6 +18,7 @@
  * 1 when --diff finds a mismatch, 2 on usage or I/O errors.
  */
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,16 +32,20 @@ namespace {
 
 using widir::sys::json::Value;
 
-[[noreturn]] void
-usage(const char *why)
+/** Print "replay_trace: <why>" and the usage text; exit 2. */
+[[noreturn, gnu::format(printf, 1, 2)]] void
+usage(const char *fmt, ...)
 {
+    va_list ap;
+    va_start(ap, fmt);
+    std::fprintf(stderr, "replay_trace: ");
+    std::vfprintf(stderr, fmt, ap);
+    va_end(ap);
     std::fprintf(stderr,
-                 "replay_trace: %s\n"
-                 "usage: replay_trace --trace-in FILE "
+                 "\nusage: replay_trace --trace-in FILE "
                  "[--protocol widir|baseline]\n"
                  "       [--tiles N] [--scale N] [--out FILE.json] "
-                 "[--diff REF.json]\n",
-                 why);
+                 "[--diff REF.json]\n");
     std::exit(2);
 }
 
@@ -123,7 +128,7 @@ main(int argc, char **argv)
         const char *arg = argv[i];
         auto operand = [&]() -> const char * {
             if (i + 1 >= argc)
-                usage("missing operand");
+                usage("%s: missing operand", arg);
             return argv[++i];
         };
         if (!std::strcmp(arg, "--trace-in")) {
@@ -135,16 +140,18 @@ main(int argc, char **argv)
             else if (!std::strcmp(v, "baseline"))
                 proto = coherence::Protocol::BaselineMESI;
             else
-                usage("--protocol wants widir|baseline");
+                usage("--protocol wants widir|baseline, not '%s'", v);
         } else if (!std::strcmp(arg, "--tiles")) {
+            const char *v = operand();
             long n = 0;
-            if (!sys::parseEnvInt(operand(), 1, 1'000'000, n))
-                usage("invalid --tiles value");
+            if (!sys::parseEnvInt(v, 1, 1'000'000, n))
+                usage("invalid --tiles value '%s'", v);
             tiles = static_cast<std::uint32_t>(n);
         } else if (!std::strcmp(arg, "--scale")) {
+            const char *v = operand();
             long n = 0;
-            if (!sys::parseEnvInt(operand(), 1, 1'000'000, n))
-                usage("invalid --scale value");
+            if (!sys::parseEnvInt(v, 1, 1'000'000, n))
+                usage("invalid --scale value '%s'", v);
             scale = static_cast<std::uint32_t>(n);
         } else if (!std::strcmp(arg, "--out")) {
             out_path = operand();
@@ -154,7 +161,7 @@ main(int argc, char **argv)
                    !std::strcmp(arg, "-h")) {
             usage("replay one trace file");
         } else {
-            usage("unknown flag");
+            usage("unknown flag '%s'", arg);
         }
     }
     if (trace_in.empty())

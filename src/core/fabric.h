@@ -18,6 +18,7 @@
 #include "core/messages.h"
 #include "core/protocol_config.h"
 #include "mem/main_memory.h"
+#include "mem/zeroed_array.h"
 #include "noc/mesh.h"
 #include "sim/simulator.h"
 #include "wireless/data_channel.h"
@@ -39,8 +40,7 @@ class CoherenceFabric
         : sim_(sim), cfg_(cfg), mesh_(mesh), memory_(memory),
           dataChannel_(data_channel), toneChannel_(tone_channel),
           lastEnqueue_(static_cast<std::size_t>(mesh.numNodes()) *
-                           mesh.numNodes(),
-                       0)
+                       mesh.numNodes())
     {
         // Steady-state wired traffic is bounded by the outstanding
         // transactions per tile; pre-sizing the pool keeps the hot
@@ -132,9 +132,10 @@ class CoherenceFabric
      * Last network-enqueue tick per (src, dst) pair, for FIFO
      * clamping. A flat numNodes^2 array: the map this replaces grew
      * one node allocation per communicating pair and made the
-     * per-message clamp a hash probe (docs/PERF.md).
+     * per-message clamp a hash probe (docs/PERF.md). Zero-page
+     * storage: only pairs that ever communicate touch memory.
      */
-    std::vector<sim::Tick> lastEnqueue_;
+    mem::ZeroedArray<sim::Tick> lastEnqueue_;
     /** In-flight wired messages (see MsgPool in core/messages.h). */
     MsgPool pool_;
     bool trace_ = false;

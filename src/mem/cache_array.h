@@ -10,17 +10,27 @@
  *
  * Replacement honors a per-entry `locked` flag: entries that are mid
  * transaction (or pinned by a wireless RMW) are never chosen as victims.
+ *
+ * Frames live in zero-page storage (mem::ZeroedArray): an all-zero
+ * CacheEntry is an empty frame, so building an array touches no
+ * memory. A per-set "ever filled" bitmap lets forEach()/occupancy()
+ * walk only the sets a run has used, in the same ascending order as a
+ * walk over every frame, and lets lookup()/pickVictim() answer for a
+ * never-filled set without reading its frames (a read would map the
+ * zero page only for the first fill to fault again on the write).
  */
 
 #ifndef WIDIR_MEM_CACHE_ARRAY_H
 #define WIDIR_MEM_CACHE_ARRAY_H
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "mem/address.h"
 #include "mem/line_data.h"
+#include "mem/zeroed_array.h"
 #include "sim/log.h"
 #include "sim/types.h"
 
@@ -28,10 +38,13 @@ namespace widir::mem {
 
 using sim::Tick;
 
-/** One cache frame (way) in the array. */
+/**
+ * One cache frame (way) in the array. All-zero bytes are an empty
+ * frame; `line` is meaningful only while `valid`.
+ */
 struct CacheEntry
 {
-    Addr line = sim::kAddrNone; ///< line-aligned address
+    Addr line = 0;              ///< line-aligned address
     bool valid = false;
     std::uint8_t state = 0;     ///< controller-defined protocol state
     bool dirty = false;
@@ -74,7 +87,9 @@ class CacheArray
         WIDIR_ASSERT(numSets_ > 0, "cache must hold at least one set");
         WIDIR_ASSERT((numSets_ & (numSets_ - 1)) == 0,
                      "number of sets must be a power of two");
-        frames_.resize(static_cast<std::size_t>(numSets_) * assoc_);
+        frames_ = ZeroedArray<CacheEntry>(
+            static_cast<std::size_t>(numSets_) * assoc_);
+        filledSets_.assign((numSets_ + 63) / 64, 0);
     }
 
     std::uint32_t numSets() const { return numSets_; }
@@ -85,7 +100,10 @@ class CacheArray
     lookup(Addr addr)
     {
         Addr line = lineAlign(addr);
-        auto [begin, end] = setRange(line);
+        std::uint32_t set = setOf(line);
+        if (!filled(set))
+            return nullptr; // and leaves the set's zero pages unmapped
+        auto [begin, end] = setRange(set);
         for (std::size_t i = begin; i < end; ++i) {
             if (frames_[i].valid && frames_[i].line == line)
                 return &frames_[i];
@@ -114,8 +132,10 @@ class CacheArray
     CacheEntry *
     pickVictim(Addr addr)
     {
-        Addr line = lineAlign(addr);
-        auto [begin, end] = setRange(line);
+        std::uint32_t set = setOf(lineAlign(addr));
+        auto [begin, end] = setRange(set);
+        if (!filled(set))
+            return &frames_[begin]; // all invalid: the first frame
         CacheEntry *victim = nullptr;
         for (std::size_t i = begin; i < end; ++i) {
             CacheEntry &f = frames_[i];
@@ -138,6 +158,9 @@ class CacheArray
     fill(CacheEntry *frame, Addr line, std::uint8_t state,
          const LineData &data)
     {
+        std::uint32_t set = static_cast<std::uint32_t>(
+            (frame - frames_.data()) / assoc_);
+        filledSets_[set / 64] |= std::uint64_t{1} << (set % 64);
         frame->line = lineAlign(line);
         frame->valid = true;
         frame->state = state;
@@ -153,21 +176,27 @@ class CacheArray
     invalidate(CacheEntry *frame)
     {
         frame->valid = false;
-        frame->line = sim::kAddrNone;
+        frame->line = 0;
         frame->state = 0;
         frame->dirty = false;
         frame->updateCount = 0;
         frame->locked = false;
     }
 
-    /** Visit every valid entry (for checkers, flushes and reports). */
+    /**
+     * Visit every valid entry (for checkers, flushes and reports) in
+     * ascending frame order. Only sets that were ever filled are
+     * walked, so the cost scales with the resident lines.
+     */
     void
     forEach(const std::function<void(CacheEntry &)> &fn)
     {
-        for (auto &f : frames_) {
-            if (f.valid)
-                fn(f);
-        }
+        forEachFilledSet([&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                if (frames_[i].valid)
+                    fn(frames_[i]);
+            }
+        });
     }
 
     /** Count of valid entries. */
@@ -175,28 +204,57 @@ class CacheArray
     occupancy() const
     {
         std::size_t n = 0;
-        for (const auto &f : frames_) {
-            if (f.valid)
-                ++n;
-        }
+        forEachFilledSet([&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                n += frames_[i].valid ? 1 : 0;
+        });
         return n;
     }
 
   private:
-    /** [first, last) frame indices of the set for @p line. */
-    std::pair<std::size_t, std::size_t>
-    setRange(Addr line) const
+    std::uint32_t
+    setOf(Addr line) const
     {
-        std::uint32_t set = static_cast<std::uint32_t>(
+        return static_cast<std::uint32_t>(
             (lineNumber(line) / indexDivisor_) & (numSets_ - 1));
+    }
+
+    bool
+    filled(std::uint32_t set) const
+    {
+        return (filledSets_[set / 64] >> (set % 64)) & 1;
+    }
+
+    /** [first, last) frame indices of @p set. */
+    std::pair<std::size_t, std::size_t>
+    setRange(std::uint32_t set) const
+    {
         std::size_t begin = static_cast<std::size_t>(set) * assoc_;
         return {begin, begin + assoc_};
+    }
+
+    /** Call @p fn(begin, end) for each ever-filled set, ascending. */
+    template <typename Fn>
+    void
+    forEachFilledSet(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < filledSets_.size(); ++w) {
+            for (std::uint64_t bits = filledSets_[w]; bits != 0;
+                 bits &= bits - 1) {
+                auto set = static_cast<std::uint32_t>(
+                    w * 64 + std::countr_zero(bits));
+                auto [begin, end] = setRange(set);
+                fn(begin, end);
+            }
+        }
     }
 
     std::uint32_t assoc_;
     std::uint32_t numSets_;
     std::uint64_t indexDivisor_;
-    std::vector<CacheEntry> frames_;
+    ZeroedArray<CacheEntry> frames_;
+    /** Bit s set once set s has held a line (never cleared). */
+    std::vector<std::uint64_t> filledSets_;
     std::uint64_t lruCounter_ = 0;
 };
 

@@ -30,6 +30,13 @@
  * reserve() sizes the index from cache geometry at construction
  * (e.g. the LLC slice's line count bounds a directory bank's live
  * entries) so steady state never rehashes.
+ *
+ * The index lives in zero-page storage (mem::ZeroedArray) and stores
+ * each key complemented, so a vacant slot is all-zero bytes and a
+ * freshly reserved index costs no memory until it is written. Every
+ * key but the logical sentinel sim::kAddrNone (stored as 0) is legal,
+ * line 0 included; bucket positions and probe order depend only on
+ * the logical key.
  */
 
 #ifndef WIDIR_MEM_FLAT_ADDR_MAP_H
@@ -43,6 +50,7 @@
 #include <vector>
 
 #include "mem/address.h"
+#include "mem/zeroed_array.h"
 #include "sim/log.h"
 
 namespace widir::mem {
@@ -50,8 +58,10 @@ namespace widir::mem {
 template <typename Value>
 class FlatAddrMap
 {
-    /** Vacant index slots hold this key; real keys never do. */
+    /** The one key that cannot be stored: its complement marks vacancy. */
     static constexpr Addr kEmptyKey = sim::kAddrNone;
+    /** Stored form of a vacant slot (~kEmptyKey). */
+    static constexpr Addr kVacant = 0;
     /** Value-slab chunk size (slots); chunks are never moved/freed. */
     static constexpr std::size_t kChunkSlots = 256;
     static constexpr std::size_t kMinCapacity = 16;
@@ -74,7 +84,7 @@ class FlatAddrMap
 
         value_type operator*() const
         {
-            return {map_->keys_[pos_], map_->valueAt(map_->slot_[pos_])};
+            return {~map_->keys_[pos_], map_->valueAt(map_->slot_[pos_])};
         }
 
         /** Arrow proxy so `it->first` / `it->second` work. */
@@ -105,7 +115,7 @@ class FlatAddrMap
         void skipVacant()
         {
             while (pos_ < map_->keys_.size() &&
-                   map_->keys_[pos_] == kEmptyKey) {
+                   map_->keys_[pos_] == kVacant) {
                 ++pos_;
             }
         }
@@ -156,13 +166,14 @@ class FlatAddrMap
         if (size_ + 1 > loadLimit(keys_.size()))
             rehash(std::max<std::size_t>(kMinCapacity,
                                          keys_.size() * 2));
+        const Addr stored = ~key;
         std::size_t pos = bucketOf(key);
-        while (keys_[pos] != kEmptyKey) {
-            if (keys_[pos] == key)
+        while (keys_[pos] != kVacant) {
+            if (keys_[pos] == stored)
                 return {iterator(this, pos), false};
             pos = (pos + 1) & mask_;
         }
-        keys_[pos] = key;
+        keys_[pos] = stored;
         slot_[pos] = acquireSlot(std::forward<Args>(args)...);
         ++size_;
         return {iterator(this, pos), true};
@@ -174,7 +185,7 @@ class FlatAddrMap
     erase(iterator it)
     {
         WIDIR_ASSERT(it.pos_ < keys_.size() &&
-                         keys_[it.pos_] != kEmptyKey,
+                         keys_[it.pos_] != kVacant,
                      "erasing a vacant slot");
         freeSlots_.push_back(slot_[it.pos_]);
         --size_;
@@ -194,7 +205,7 @@ class FlatAddrMap
     void
     clear()
     {
-        keys_.assign(keys_.size(), kEmptyKey);
+        keys_.zero();
         freeSlots_.clear();
         slabUsed_ = 0;
         size_ = 0;
@@ -229,9 +240,10 @@ class FlatAddrMap
     {
         if (keys_.empty())
             return 0; // == keys_.size(): the end sentinel
+        const Addr stored = ~key;
         std::size_t pos = bucketOf(key);
-        while (keys_[pos] != kEmptyKey) {
-            if (keys_[pos] == key)
+        while (keys_[pos] != kVacant) {
+            if (keys_[pos] == stored)
                 return pos;
             pos = (pos + 1) & mask_;
         }
@@ -276,8 +288,8 @@ class FlatAddrMap
     backshift(std::size_t hole)
     {
         std::size_t pos = (hole + 1) & mask_;
-        while (keys_[pos] != kEmptyKey) {
-            std::size_t home = bucketOf(keys_[pos]);
+        while (keys_[pos] != kVacant) {
+            std::size_t home = bucketOf(~keys_[pos]);
             // Move pos into the hole iff the hole lies on pos's probe
             // path, i.e. its displacement reaches at least back to it.
             if (((pos - home) & mask_) >= ((pos - hole) & mask_)) {
@@ -287,31 +299,31 @@ class FlatAddrMap
             }
             pos = (pos + 1) & mask_;
         }
-        keys_[hole] = kEmptyKey;
+        keys_[hole] = kVacant;
     }
 
     void
     rehash(std::size_t cap)
     {
-        std::vector<Addr> old_keys = std::move(keys_);
-        std::vector<std::uint32_t> old_slots = std::move(slot_);
-        keys_.assign(cap, kEmptyKey);
-        slot_.assign(cap, 0);
+        ZeroedArray<Addr> old_keys = std::move(keys_);
+        ZeroedArray<std::uint32_t> old_slots = std::move(slot_);
+        keys_ = ZeroedArray<Addr>(cap);
+        slot_ = ZeroedArray<std::uint32_t>(cap);
         mask_ = cap - 1;
         ++rehashes_;
         for (std::size_t i = 0; i < old_keys.size(); ++i) {
-            if (old_keys[i] == kEmptyKey)
+            if (old_keys[i] == kVacant)
                 continue;
-            std::size_t pos = bucketOf(old_keys[i]);
-            while (keys_[pos] != kEmptyKey)
+            std::size_t pos = bucketOf(~old_keys[i]);
+            while (keys_[pos] != kVacant)
                 pos = (pos + 1) & mask_;
             keys_[pos] = old_keys[i];
             slot_[pos] = old_slots[i];
         }
     }
 
-    std::vector<Addr> keys_;         ///< open-addressed index: keys
-    std::vector<std::uint32_t> slot_; ///< parallel: value-slab slot ids
+    ZeroedArray<Addr> keys_;          ///< open-addressed index: ~keys
+    ZeroedArray<std::uint32_t> slot_; ///< parallel: value-slab slot ids
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
     std::uint64_t rehashes_ = 0;

@@ -50,13 +50,6 @@ Mesh::coordOf(NodeId router) const
                  static_cast<std::int32_t>(router / width_)};
 }
 
-sim::NodeId
-Mesh::routerAt(Coord c) const
-{
-    return static_cast<NodeId>(c.y * static_cast<std::int32_t>(width_) +
-                               c.x);
-}
-
 std::uint32_t
 Mesh::hopCount(NodeId src, NodeId dst) const
 {
@@ -64,26 +57,6 @@ Mesh::hopCount(NodeId src, NodeId dst) const
     Coord b = coordOf(routerOf(dst));
     return static_cast<std::uint32_t>(std::abs(a.x - b.x) +
                                       std::abs(a.y - b.y));
-}
-
-std::size_t
-Mesh::linkIndex(NodeId from, NodeId to) const
-{
-    Coord a = coordOf(from);
-    Coord b = coordOf(to);
-    std::uint32_t dir;
-    if (b.x == a.x + 1 && b.y == a.y) {
-        dir = 0; // east
-    } else if (b.x == a.x - 1 && b.y == a.y) {
-        dir = 1; // west
-    } else if (b.y == a.y + 1 && b.x == a.x) {
-        dir = 2; // south
-    } else if (b.y == a.y - 1 && b.x == a.x) {
-        dir = 3; // north
-    } else {
-        sim::panic("linkIndex on non-adjacent nodes %u -> %u", from, to);
-    }
-    return static_cast<std::size_t>(from) * 4 + dir;
 }
 
 void
@@ -108,21 +81,27 @@ Mesh::send(NodeId src, NodeId dst, std::uint32_t bits,
     // along Y. The head advances one hop per cycle when links are
     // free; each link then stays busy for the serialization time of
     // the whole message. At concentration 1 routers and tiles
-    // coincide and this is the classic per-tile walk.
+    // coincide and this is the classic per-tile walk. Directed link
+    // ids are router * 4 + direction (east, west, south, north).
+    std::int64_t router = routerOf(src);
     Coord cur = coordOf(routerOf(src));
     Coord dstc = coordOf(routerOf(dst));
-    while (cur.x != dstc.x || cur.y != dstc.y) {
-        Coord next = cur;
-        if (cur.x != dstc.x)
-            next.x += (dstc.x > cur.x) ? 1 : -1;
-        else
-            next.y += (dstc.y > cur.y) ? 1 : -1;
-        std::size_t link = linkIndex(routerAt(cur), routerAt(next));
+    auto hop = [&](std::uint32_t dir, std::int64_t step) {
+        std::size_t link = static_cast<std::size_t>(router) * 4 + dir;
         Tick start = std::max(arrive, linkFree_[link]);
         linkFree_[link] = start + flits;      // serialization occupancy
         arrive = start + cfg_.hopLatency;     // head moves one hop
-        cur = next;
-    }
+        router += step;
+    };
+    const std::int64_t w = width_;
+    for (std::int32_t x = cur.x; x < dstc.x; ++x)
+        hop(0, 1);
+    for (std::int32_t x = cur.x; x > dstc.x; --x)
+        hop(1, -1);
+    for (std::int32_t y = cur.y; y < dstc.y; ++y)
+        hop(2, w);
+    for (std::int32_t y = cur.y; y > dstc.y; --y)
+        hop(3, -w);
     // Tail arrival: remaining flits stream in behind the head. 0-hop
     // delivery (same node, or two tiles sharing a concentrated
     // router) goes through the sender's NI loopback port, which

@@ -111,10 +111,6 @@ class Mesh
     }
 
     Coord coordOf(NodeId router) const;
-    NodeId routerAt(Coord c) const;
-
-    /** Directed link id from router @p from to adjacent router @p to. */
-    std::size_t linkIndex(NodeId from, NodeId to) const;
 
     Simulator &sim_;
     MeshConfig cfg_;

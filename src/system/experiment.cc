@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 
 #include <memory>
@@ -146,7 +147,8 @@ benchScale(std::uint32_t fallback)
         long v = 0;
         if (parseEnvInt(env, 1, 1'000'000, v))
             return static_cast<std::uint32_t>(v);
-        sim::warn("ignoring invalid WIDIR_BENCH_SCALE='%s'", env);
+        std::fprintf(stderr, "invalid WIDIR_BENCH_SCALE value '%s'\n", env);
+        std::exit(2);
     }
     return fallback;
 }

@@ -252,6 +252,8 @@ ExperimentResult runExperiment(const ExperimentSpec &spec);
 /**
  * Bench sizing: reads WIDIR_BENCH_SCALE from the environment
  * (default @p fallback) so the full suite can be run small or large.
+ * A malformed value exits the process with status 2 and a message
+ * naming the variable, like a malformed bench flag.
  */
 std::uint32_t benchScale(std::uint32_t fallback = 1);
 

@@ -78,6 +78,35 @@ TEST_P(BenchOptionsBadValue, ExitsTwoNamingTheFlag)
         ::testing::ExitedWithCode(2), "invalid " + named + " value");
 }
 
+/** Malformed WIDIR_BENCH_SCALE / WIDIR_BENCH_CORES fail like flags. */
+TEST(BenchOptions, MalformedSizeEnvironmentExitsTwo)
+{
+    EXPECT_EXIT(
+        {
+            setenv("WIDIR_BENCH_SCALE", "1abc", 1);
+            sys::benchScale(4);
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid WIDIR_BENCH_SCALE value '1abc'");
+    EXPECT_EXIT(
+        {
+            setenv("WIDIR_BENCH_CORES", "16x", 1);
+            bench::benchCores(64);
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid WIDIR_BENCH_CORES value '16x'");
+}
+
+TEST(BenchOptions, WellFormedSizeEnvironmentParses)
+{
+    setenv("WIDIR_BENCH_CORES", "16", 1);
+    EXPECT_EQ(bench::benchCores(64), 16u);
+    unsetenv("WIDIR_BENCH_CORES");
+    EXPECT_EQ(bench::benchCores(64), 64u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Flags, BenchOptionsBadValue,
     ::testing::Values(

@@ -181,7 +181,8 @@ TEST(Experiment, BenchScaleReadsEnvironment)
     setenv("WIDIR_BENCH_SCALE", "7", 1);
     EXPECT_EQ(sys::benchScale(3), 7u);
     setenv("WIDIR_BENCH_SCALE", "bogus", 1);
-    EXPECT_EQ(sys::benchScale(3), 3u);
+    EXPECT_EXIT(sys::benchScale(3), ::testing::ExitedWithCode(2),
+                "invalid WIDIR_BENCH_SCALE value 'bogus'");
     unsetenv("WIDIR_BENCH_SCALE");
 }
 

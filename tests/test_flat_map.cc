@@ -175,6 +175,32 @@ TEST(FlatAddrMap, RecycledSlotsAreFresh)
     EXPECT_TRUE(again.body.empty());
 }
 
+/** Line 0 is a legal key even though the index stores it as ~0. */
+TEST(FlatAddrMap, KeyZeroRoundTrips)
+{
+    FlatAddrMap<Payload> m;
+    m.reserve(64);
+    EXPECT_EQ(m.find(0), m.end());
+    m[0].tag = 5;
+    m[0x40].tag = 6;
+    ASSERT_NE(m.find(0), m.end());
+    EXPECT_EQ(m.find(0)->second.tag, 5u);
+    EXPECT_EQ(m.count(0), 1u);
+    EXPECT_EQ(dump(m), (std::vector<std::pair<Addr, std::uint64_t>>{
+                           {0, 5}, {0x40, 6}}));
+    EXPECT_EQ(m.find(sim::kAddrNone), m.end());
+    EXPECT_EQ(m.erase(0), 1u);
+    EXPECT_EQ(m.count(0), 0u);
+    EXPECT_EQ(m.size(), 1u);
+}
+
+/** The logical sentinel kAddrNone is still the one rejected key. */
+TEST(FlatAddrMap, SentinelKeyPanics)
+{
+    FlatAddrMap<Payload> m;
+    EXPECT_DEATH(m.try_emplace(sim::kAddrNone), "reserved sentinel key");
+}
+
 TEST(SharerPtrs, PreservesVectorOrderSemantics)
 {
     SharerPtrs s;

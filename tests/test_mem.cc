@@ -1,15 +1,24 @@
 /**
  * @file
  * Unit tests for the memory substrate: address math, cache array
- * (lookup, LRU, locking), MSHRs and the main-memory timing model.
+ * (lookup, LRU, locking, filled-set walks), zero-page storage, MSHRs
+ * and the main-memory timing model.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "mem/address.h"
 #include "mem/cache_array.h"
 #include "mem/main_memory.h"
 #include "mem/mshr.h"
+#include "mem/zeroed_array.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -111,6 +120,100 @@ TEST(CacheArray, OccupancyAndForEach)
     int seen = 0;
     c.forEach([&](CacheEntry &) { ++seen; });
     EXPECT_EQ(seen, 2);
+}
+
+/** A fresh array is all empty frames and its walks visit nothing. */
+TEST(CacheArray, FreshArrayIsEmpty)
+{
+    CacheArray c(512 * 1024, 8); // 8192 frames: mmapped storage
+    EXPECT_EQ(c.occupancy(), 0u);
+    int seen = 0;
+    c.forEach([&](CacheEntry &) { ++seen; });
+    EXPECT_EQ(seen, 0);
+
+    // Lines 0 and numSets share set 0; its first frame is the victim
+    // for both, and once filled the next way is.
+    sim::Addr a = 0, b = static_cast<sim::Addr>(c.numSets()) * 64;
+    CacheEntry *first = c.pickVictim(a);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(c.pickVictim(b), first);
+    EXPECT_FALSE(first->valid);
+    EXPECT_EQ(first->line, 0u);
+    EXPECT_EQ(first->state, 0);
+    EXPECT_EQ(first->lruStamp, 0u);
+    EXPECT_EQ(first->data, LineData());
+    c.fill(first, a, 1, LineData());
+    EXPECT_EQ(c.pickVictim(b), first + 1);
+    EXPECT_EQ(c.lookup(a), first); // line 0 is an ordinary line
+    EXPECT_EQ(c.lookup(b), nullptr);
+}
+
+/**
+ * forEach walks only ever-filled sets; across a seeded fill/invalidate
+ * churn its visit sequence must equal a brute-force reference: every
+ * valid frame, in ascending frame (address) order.
+ */
+TEST(CacheArray, FilledSetWalkMatchesFullWalk)
+{
+    CacheArray c(64 * 1024, 4, 16); // 256 sets, LLC-style divisor
+    sim::Rng rng(99, 0);
+    std::set<sim::Addr> used;
+    for (int step = 0; step < 20000; ++step) {
+        sim::Addr line = static_cast<sim::Addr>(rng.below(4096)) << 6;
+        used.insert(line);
+        if (CacheEntry *hit = c.lookup(line)) {
+            if (rng.below(2) == 0)
+                c.invalidate(hit);
+        } else if (CacheEntry *v = c.pickVictim(line)) {
+            c.fill(v, line, 1, LineData());
+        }
+        if (step % 997 != 0)
+            continue;
+        std::vector<const CacheEntry *> walked;
+        c.forEach([&](CacheEntry &e) { walked.push_back(&e); });
+        std::vector<const CacheEntry *> reference;
+        for (sim::Addr l : used) {
+            if (const CacheEntry *e = c.lookup(l))
+                reference.push_back(e);
+        }
+        std::sort(reference.begin(), reference.end());
+        ASSERT_EQ(walked, reference) << "step " << step;
+        EXPECT_EQ(c.occupancy(), reference.size());
+    }
+}
+
+/** Both size classes come back zeroed; moves transfer ownership once. */
+TEST(ZeroedArray, ZeroedInBothSizeClassesAndMoveOnly)
+{
+    using Arr = mem::ZeroedArray<std::uint64_t>;
+    const std::size_t small = 100;
+    const std::size_t large = Arr::kMmapBytes / sizeof(std::uint64_t) + 1;
+    for (std::size_t n : {small, large}) {
+        Arr a(n);
+        ASSERT_EQ(a.size(), n);
+        EXPECT_TRUE(std::all_of(a.data(), a.data() + n,
+                                [](std::uint64_t v) { return v == 0; }))
+            << n;
+
+        Arr b;
+        {
+            Arr src(n);
+            src[n - 1] = 7;
+            b = std::move(src);
+            EXPECT_TRUE(src.empty());
+            EXPECT_EQ(src.data(), nullptr);
+        } // src's destructor must not release b's storage
+        EXPECT_EQ(b[n - 1], 7u);
+        b[0] = 1; // faults if the storage had been unmapped/freed
+
+        Arr c(std::move(b));
+        EXPECT_TRUE(b.empty());
+        EXPECT_EQ(c[0], 1u);
+        c = Arr(n); // move-assign releases the old storage
+        EXPECT_EQ(c[n - 1], 0u);
+        c.zero();
+    }
+    EXPECT_TRUE(Arr(0).empty());
 }
 
 TEST(Mshr, AllocateFindRelease)
