@@ -334,11 +334,11 @@ class Options
             if (std::size_t dot = stem.find_last_of('.');
                 dot != std::string::npos && dot > 0)
                 stem.erase(dot);
-            traceApp_ = "trace:" + stem;
-            workload::registerTraceApp(traceApp_, traceIn_);
+            std::string app = "trace:" + stem;
+            workload::registerTraceApp(app, traceIn_);
             const char *sel = std::getenv("WIDIR_BENCH_APPS");
             if (!sel || !*sel)
-                setenv("WIDIR_BENCH_APPS", traceApp_.c_str(), 1);
+                setenv("WIDIR_BENCH_APPS", app.c_str(), 1);
         }
     }
 
@@ -379,8 +379,6 @@ class Options
     /// @{
     /** Trace output directory; empty when --record was not given. */
     const std::string &recordDir() const { return recordDir_; }
-    /** Registered app name for --trace-in, "" without the flag. */
-    const std::string &traceApp() const { return traceApp_; }
     /// @}
 
   private:
@@ -496,7 +494,6 @@ class Options
     mem::HomeMap homeMap_ = mem::HomeMap::Interleave;
     std::string recordDir_;
     std::string traceIn_;
-    std::string traceApp_;
 };
 
 /**
@@ -556,10 +553,9 @@ class Sweep
             spec.homeMap = homeMap_;
         // --record applies sweep-wide to kernel apps (a trace app has
         // nothing to record).
-        if (!recordDir_.empty() &&
-            spec.frontend == frontend::FrontendKind::Coroutine &&
-            spec.app != nullptr && spec.app->traceSource == nullptr) {
-            spec.frontend = frontend::FrontendKind::Record;
+        if (!recordDir_.empty() && spec.recordPath.empty() &&
+            spec.replayPath.empty() && spec.app != nullptr &&
+            spec.app->traceSource == nullptr) {
             char tag[64];
             std::snprintf(tag, sizeof(tag), "%zu_%s_%s_%uc",
                           specs_.size(), spec.app->name,
@@ -638,20 +634,6 @@ class Sweep
     std::vector<ExperimentSpec> specs_;
     std::vector<ExperimentResult> results_;
 };
-
-/** Run one app under one protocol with bench-standard settings. */
-inline ExperimentResult
-run(const AppInfo &app, Protocol proto, std::uint32_t cores,
-    std::uint32_t scale, std::uint32_t max_wired_sharers = 3)
-{
-    ExperimentSpec spec;
-    spec.app = &app;
-    spec.protocol = proto;
-    spec.cores = cores;
-    spec.scale = scale;
-    spec.maxWiredSharers = max_wired_sharers;
-    return sys::runExperiment(spec);
-}
 
 /** Header banner naming the experiment being regenerated. */
 inline void

@@ -26,7 +26,6 @@
 #include <string>
 
 #include "common.h"
-#include "frontend/frontend.h"
 
 namespace {
 
@@ -117,7 +116,6 @@ int
 main(int argc, char **argv)
 {
     using namespace widir;
-    using frontend::FrontendKind;
 
     std::string trace_in, out_path, diff_path;
     coherence::Protocol proto = coherence::Protocol::WiDir;
@@ -172,13 +170,10 @@ main(int argc, char **argv)
     spec.protocol = proto;
     spec.cores = tiles;
     spec.scale = scale;
-    spec.frontend = FrontendKind::ReplayFull;
     sys::ExperimentResult r = sys::runExperiment(spec);
 
-    std::printf("%s %s: %s replay of %s\n", r.app.c_str(),
-                coherence::protocolName(r.protocol),
-                frontend::frontendKindName(r.frontendKind),
-                trace_in.c_str());
+    std::printf("%s %s: replay-full replay of %s\n", r.app.c_str(),
+                coherence::protocolName(r.protocol), trace_in.c_str());
     std::printf("  cycles %llu  instructions %llu  loads %llu  "
                 "stores %llu  events %llu\n",
                 static_cast<unsigned long long>(r.cycles),

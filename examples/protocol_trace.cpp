@@ -2,9 +2,9 @@
  * @file
  * Scenario: watching the protocol work, message by message.
  *
- * Enables the fabric's wired-message trace and the wireless channel's
- * frame trace, then walks a 8-core machine through the lifecycle the
- * paper describes:
+ * Attaches a sim::Tracer sink that prints every wired message send and
+ * every wireless frame win or jam, then walks an 8-core machine
+ * through the lifecycle the paper describes:
  *
  *   1. cores 0..2 read a line      -> wired GetS, S state
  *   2. core 3 reads it             -> S->W: BrWirUpgr + census
@@ -84,8 +84,23 @@ main()
 {
     sys::SystemConfig cfg = sys::SystemConfig::widir(8);
     sys::Manycore machine(cfg);
-    machine.fabric().setTrace(true);
-    machine.dataChannel()->setTrace(true);
+    sim::Tracer &tracer = machine.simulator().tracer();
+    tracer.setEnabled(true);
+    tracer.addSink([](const sim::TraceRecord &r) {
+        auto tick = static_cast<unsigned long long>(r.tick);
+        auto line = static_cast<unsigned long long>(r.line);
+        if (r.kind == sim::TraceKind::MsgSend)
+            std::fprintf(stderr, "%10llu  %2u -> %2u  %-10s line=%#llx%s\n",
+                         tick, r.node, r.peer, r.opName, line,
+                         r.note != nullptr ? " (sharer)" : "");
+        else if (r.kind == sim::TraceKind::FrameWin)
+            std::fprintf(stderr, "%10llu  WNoC %2u %-10s line=%#llx\n",
+                         tick, r.node, r.opName, line);
+        else if (r.kind == sim::TraceKind::FrameJammed)
+            std::fprintf(stderr,
+                         "%10llu  WNoC %2u JAMMED %-10s line=%#llx\n",
+                         tick, r.node, r.opName, line);
+    });
 
     sim::Tick cycles =
         machine.run([](Thread &t) { return script(t); });

@@ -12,6 +12,8 @@
  * applications.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +35,33 @@ usage(const char *argv0)
         argv0);
 }
 
+/** Report a bad command line on stderr and exit with status 2. */
+[[noreturn]] void
+badValue(const char *flag, const char *value)
+{
+    std::fprintf(stderr, "invalid %s value '%s'\n", flag, value);
+    std::exit(2);
+}
+
+/**
+ * Strict unsigned 64-bit decimal: digits only (strtoull alone skips
+ * blanks, accepts a sign and wraps "-1"), nothing trailing, no
+ * overflow.
+ */
+bool
+parseU64(const char *text, std::uint64_t &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*text)))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE)
+        return false;
+    out = v;
+    return true;
+}
+
 } // namespace
 
 int
@@ -49,34 +78,41 @@ main(int argc, char **argv)
         auto next = [&](const char *what) -> const char * {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "missing value for %s\n", what);
-                std::exit(1);
+                std::exit(2);
             }
             return argv[++i];
+        };
+        // Same ranges as the bench flags (bench/common.h): --tiles
+        // and WIDIR_BENCH_SCALE for the sizes, the topology flags'
+        // 4096 for the sharer limit (spec.validate() narrows it).
+        auto count = [&](const char *flag, long min,
+                         long max) -> std::uint32_t {
+            const char *v = next(flag);
+            long n = 0;
+            if (!sys::parseEnvInt(v, min, max, n))
+                badValue(flag, v);
+            return static_cast<std::uint32_t>(n);
         };
         if (arg == "--app") {
             app_name = next("--app");
         } else if (arg == "--protocol") {
-            std::string p = next("--protocol");
-            if (p == "baseline") {
+            const char *p = next("--protocol");
+            if (!std::strcmp(p, "baseline"))
                 spec.protocol = coherence::Protocol::BaselineMESI;
-            } else if (p == "widir") {
+            else if (!std::strcmp(p, "widir"))
                 spec.protocol = coherence::Protocol::WiDir;
-            } else {
-                std::fprintf(stderr, "unknown protocol '%s'\n",
-                             p.c_str());
-                return 1;
-            }
+            else
+                badValue("--protocol", p);
         } else if (arg == "--cores") {
-            spec.cores = static_cast<std::uint32_t>(
-                std::strtoul(next("--cores"), nullptr, 10));
+            spec.cores = count("--cores", 1, 1'000'000);
         } else if (arg == "--scale") {
-            spec.scale = static_cast<std::uint32_t>(
-                std::strtoul(next("--scale"), nullptr, 10));
+            spec.scale = count("--scale", 1, 1'000'000);
         } else if (arg == "--seed") {
-            spec.seed = std::strtoull(next("--seed"), nullptr, 10);
+            const char *v = next("--seed");
+            if (!parseU64(v, spec.seed))
+                badValue("--seed", v);
         } else if (arg == "--max-wired-sharers") {
-            spec.maxWiredSharers = static_cast<std::uint32_t>(
-                std::strtoul(next("--max-wired-sharers"), nullptr, 10));
+            spec.maxWiredSharers = count("--max-wired-sharers", 0, 4096);
         } else if (arg == "--list") {
             for (const auto &a : workload::allApps()) {
                 std::printf("%-14s %-9s paper-mpki=%5.2f  %s\n", a.name,
@@ -89,7 +125,7 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
             usage(argv[0]);
-            return 1;
+            return 2;
         }
     }
 
@@ -98,7 +134,11 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "unknown app '%s' (try --list)\n",
                      app_name.c_str());
-        return 1;
+        return 2;
+    }
+    if (std::string err = spec.validate(); !err.empty()) {
+        std::fprintf(stderr, "invalid options: %s\n", err.c_str());
+        return 2;
     }
 
     auto r = sys::runExperiment(spec);

@@ -62,7 +62,7 @@ DirectoryController::traceState(Addr line, DirState from, DirState to,
                                 const char *why, std::uint64_t arg)
 {
     sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (!(sim::kTraceCompiled && tracer.enabled()))
+    if (!tracer.enabled())
         return;
     sim::TraceRecord r;
     r.tick = fabric_.simulator().now();
@@ -89,7 +89,7 @@ DirectoryController::beginTxn(TxnType type, Addr line)
     if (CacheEntry *e = llc_.lookup(line))
         e->locked = true;
     sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (sim::kTraceCompiled && tracer.enabled()) {
+    if (tracer.enabled()) {
         sim::TraceRecord r;
         r.tick = fabric_.simulator().now();
         r.kind = sim::TraceKind::DirTxnBegin;
@@ -113,7 +113,7 @@ DirectoryController::endTxn(Addr line)
         it->second.jamming = false;
     }
     sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (sim::kTraceCompiled && tracer.enabled()) {
+    if (tracer.enabled()) {
         sim::TraceRecord r;
         r.tick = fabric_.simulator().now();
         r.kind = sim::TraceKind::DirTxnEnd;
@@ -1018,7 +1018,7 @@ void
 DirectoryController::traceFallback(Addr line, const char *frame_kind)
 {
     sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (!(sim::kTraceCompiled && tracer.enabled()))
+    if (!tracer.enabled())
         return;
     sim::TraceRecord r;
     r.tick = fabric_.simulator().now();

@@ -1,7 +1,5 @@
 #include "core/fabric.h"
 
-#include <cstdio>
-
 #include "core/directory_controller.h"
 #include "core/l1_controller.h"
 #include "sim/log.h"
@@ -28,15 +26,8 @@ CoherenceFabric::sendWired(const Msg &msg, sim::Tick delay)
 {
     WIDIR_ASSERT(msg.src != sim::kNodeNone && msg.dst != sim::kNodeNone,
                  "wired message without endpoints");
-    if (trace_) {
-        std::fprintf(stderr, "%10llu  %2u -> %2u  %-10s line=%#llx%s\n",
-                     static_cast<unsigned long long>(sim_.now()),
-                     msg.src, msg.dst, msgTypeName(msg.type),
-                     static_cast<unsigned long long>(msg.line),
-                     msg.isSharer ? " (sharer)" : "");
-    }
     sim::Tracer &tracer = sim_.tracer();
-    if (sim::kTraceCompiled && tracer.enabled()) {
+    if (tracer.enabled()) {
         sim::TraceRecord r;
         r.tick = sim_.now();
         r.kind = sim::TraceKind::MsgSend;
@@ -72,7 +63,7 @@ CoherenceFabric::sendWired(const Msg &msg, sim::Tick delay)
         auto deliver = [this, slot, to_dir] {
             const Msg &dm = pool_.at(slot);
             sim::Tracer &tr = sim_.tracer();
-            if (sim::kTraceCompiled && tr.enabled()) {
+            if (tr.enabled()) {
                 sim::TraceRecord r;
                 r.tick = sim_.now();
                 r.kind = sim::TraceKind::MsgRecv;

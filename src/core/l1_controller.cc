@@ -39,7 +39,7 @@ L1Controller::traceState(Addr line, L1State from, L1State to,
                          const char *why)
 {
     sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (!(sim::kTraceCompiled && tracer.enabled()))
+    if (!tracer.enabled())
         return;
     sim::TraceRecord r;
     r.tick = fabric_.simulator().now();
@@ -60,7 +60,7 @@ L1Controller::traceMshr(sim::TraceKind kind, Addr line, const char *req,
                         const char *why)
 {
     sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (!(sim::kTraceCompiled && tracer.enabled()))
+    if (!tracer.enabled())
         return;
     sim::TraceRecord r;
     r.tick = fabric_.simulator().now();
@@ -96,13 +96,6 @@ L1Controller::peekWord(Addr addr, std::uint64_t &value) const
         return false;
     value = e->data.word(addr);
     return true;
-}
-
-bool
-L1Controller::hasPendingTxn(Addr addr) const
-{
-    return txns_.count(lineAlign(addr)) > 0 ||
-           wirelessTxns_.count(lineAlign(addr)) > 0;
 }
 
 // ---------------------------------------------------------------------
@@ -596,7 +589,7 @@ L1Controller::wirelessWriteFault(Addr line)
         return; // a racing WirDwgr/WirInv already squashed us
     ++stats_.wirelessFallbacks;
     sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (sim::kTraceCompiled && tracer.enabled()) {
+    if (tracer.enabled()) {
         sim::TraceRecord r;
         r.tick = fabric_.simulator().now();
         r.kind = sim::TraceKind::WirelessFallback;

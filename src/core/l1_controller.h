@@ -85,7 +85,6 @@ class L1Controller
     /** Functional word value if present, or std::nullopt semantics via ok. */
     bool peekWord(sim::Addr addr, std::uint64_t &value) const;
     mem::CacheArray &array() { return array_; }
-    bool hasPendingTxn(sim::Addr addr) const;
     /// @}
 
     /// @name Statistics

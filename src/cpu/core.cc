@@ -279,7 +279,7 @@ Core::traceRetire(const char *what, std::uint8_t op, Addr addr,
                   Tick enqueued)
 {
     sim::Tracer &tracer = sim_.tracer();
-    if (!(sim::kTraceCompiled && tracer.enabled()))
+    if (!tracer.enabled())
         return;
     sim::TraceRecord r;
     r.tick = sim_.now();

@@ -121,9 +121,6 @@ class FaultModel
 
     const FaultSpec &spec() const { return spec_; }
 
-    /** Currently in the Gilbert-Elliott Bad state. */
-    bool inBurst() const { return bad_; }
-
     /// @name Sampling statistics
     /// @{
     std::uint64_t framesSampled() const { return framesSampled_; }

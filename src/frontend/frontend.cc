@@ -52,37 +52,6 @@ replayModify(const Op &op)
 
 } // namespace
 
-const char *
-frontendKindName(FrontendKind kind)
-{
-    switch (kind)
-    {
-    case FrontendKind::Coroutine:
-        return "coroutine";
-    case FrontendKind::Record:
-        return "record";
-    case FrontendKind::ReplayFull:
-        return "replay-full";
-    }
-    return "?";
-}
-
-bool
-parseFrontendKind(std::string_view name, FrontendKind &out)
-{
-    for (FrontendKind k :
-         {FrontendKind::Coroutine, FrontendKind::Record,
-          FrontendKind::ReplayFull})
-    {
-        if (name == frontendKindName(k))
-        {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 // ---------------------------------------------------------------------
 // ReplayGate
 // ---------------------------------------------------------------------

@@ -3,15 +3,16 @@
  * Stimulus sources for a simulated machine.
  *
  * The machine never knows what drives it: every tile's core runs the
- * Program given to sys::Manycore::run(). That Program is either
+ * Program given to sys::Manycore::run(). sys::ExperimentSpec derives
+ * that Program from its paths:
  *
- *  - Coroutine: a workload kernel (the classic configuration);
- *  - Record: the same kernel, with a Recorder (record.h) tapped onto
- *    each core as its cpu::OpSink (pure observation: stats identical
- *    to an unrecorded run);
- *  - ReplayFull: makeReplayProgram(), re-issuing a recorded trace
- *    through the core model -- reproduces the recording's stats
- *    byte-identically.
+ *  - no path: a workload kernel (the classic configuration);
+ *  - recordPath: the same kernel, with a Recorder (record.h) tapped
+ *    onto each core as its cpu::OpSink (pure observation: stats
+ *    identical to an unrecorded run);
+ *  - replayPath, or a trace-driven app: makeReplayProgram(),
+ *    re-issuing a recorded trace through the core model -- reproduces
+ *    the recording's stats byte-identically.
  *
  * Fidelity contracts are specified in docs/FRONTEND.md.
  */
@@ -21,27 +22,12 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cpu/thread.h"
 #include "frontend/mtrace.h"
 
 namespace widir::frontend {
-
-/** Stimulus-source selection (`ExperimentSpec::frontend`). */
-enum class FrontendKind : std::uint8_t
-{
-    Coroutine,  ///< coroutine CPU model running a workload program
-    Record,     ///< Coroutine + widir-mtrace-v1 recorder tap
-    ReplayFull, ///< trace re-driven through the core timing model
-};
-
-/** Stable lowercase name (JSON echo, bench flags). */
-const char *frontendKindName(FrontendKind kind);
-
-/** Parse a frontendKindName() string; false on unknown name. */
-bool parseFrontendKind(std::string_view name, FrontendKind &out);
 
 /**
  * Serializes the sync-event tokens of a trace into their recorded

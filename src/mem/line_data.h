@@ -42,7 +42,6 @@ class LineData
 
     /** Direct word access by index (0..7). */
     std::uint64_t wordAt(std::uint32_t i) const { return words_[i]; }
-    void setWordAt(std::uint32_t i, std::uint64_t v) { words_[i] = v; }
 
     bool
     operator==(const LineData &o) const

@@ -116,7 +116,7 @@ Mesh::send(NodeId src, NodeId dst, std::uint32_t bits,
     }
     latency_.sample(static_cast<double>(total));
     sim::Tracer &tracer = sim_.tracer();
-    if (sim::kTraceCompiled && tracer.enabled()) {
+    if (tracer.enabled()) {
         sim::TraceRecord r;
         r.tick = depart;
         r.kind = sim::TraceKind::NocSend;

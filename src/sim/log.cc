@@ -71,15 +71,6 @@ inform(const char *fmt, ...)
 }
 
 void
-debugLog(const char *fmt, ...)
-{
-    std::va_list ap;
-    va_start(ap, fmt);
-    emit(LogLevel::Debug, "debug", fmt, ap);
-    va_end(ap);
-}
-
-void
 warn(const char *fmt, ...)
 {
     std::va_list ap;
@@ -92,7 +83,7 @@ warn(const char *fmt, ...)
     // analysis and should not lose records because a test quieted
     // the console.
     Tracer *tracer = Tracer::threadActive();
-    if (kTraceCompiled && tracer && tracer->enabled()) {
+    if (tracer && tracer->enabled()) {
         TraceRecord r;
         r.tick = tracer->clockNow();
         r.kind = TraceKind::Warn;

@@ -66,9 +66,6 @@ std::string strfmt(const char *fmt, ...)
 /** Emit an informational message (level Info). */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Emit a debug message (level Debug). */
-void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 /** Emit a warning (level Warn). */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 

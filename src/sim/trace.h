@@ -8,7 +8,7 @@
  * The hot-path contract is:
  *
  *   sim::Tracer &tr = sim_.tracer();
- *   if (sim::kTraceCompiled && tr.enabled()) {
+ *   if (tr.enabled()) {
  *       sim::TraceRecord r;
  *       ... fill ...
  *       tr.emit(r);
@@ -18,9 +18,6 @@
  * site is one predicted-not-taken branch on a plain bool; no record is
  * constructed, no allocation happens, and no RNG stream is touched, so
  * traced-off runs are bit-identical to builds that predate tracing.
- * Defining WIDIR_TRACE_DISABLED at compile time turns kTraceCompiled
- * into a constant false and lets the compiler delete the sites
- * entirely.
  *
  * Records carry both raw enum values (for machine checking, see
  * sys::checkTraceLegality) and static name strings (for exporters, see
@@ -54,14 +51,6 @@
 namespace widir::sim {
 
 class EventQueue;
-
-/** Compile-time kill switch; see file comment. */
-inline constexpr bool kTraceCompiled =
-#ifdef WIDIR_TRACE_DISABLED
-    false;
-#else
-    true;
-#endif
 
 /** Which component emitted a record (Chrome export: the "process"). */
 enum class TraceComponent : std::uint8_t {
@@ -158,8 +147,6 @@ class Tracer
 
     /** Register a sink. Sinks must outlive the simulation. */
     void addSink(Sink sink) { sinks_.push_back(std::move(sink)); }
-
-    void clearSinks() { sinks_.clear(); }
 
     /** Records that passed the window filter so far. */
     std::uint64_t emitted() const { return emitted_; }

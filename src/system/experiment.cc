@@ -8,6 +8,8 @@
 
 #include <memory>
 
+#include "core/sharer_set.h"
+#include "frontend/frontend.h"
 #include "frontend/mtrace.h"
 #include "frontend/record.h"
 #include "sim/log.h"
@@ -94,26 +96,19 @@ ExperimentSpec::validate() const
         add("wirelessChannels must be positive");
     if (simThreads != 0)
         add("simThreads must be 0: the bound/weave kernel was removed");
-    const bool is_replay = frontend == frontend::FrontendKind::ReplayFull;
+    // The directory grows its pointer list to the threshold, and the
+    // list is a fixed inline array.
+    if (maxWiredSharers > coherence::SharerPtrs::kCapacity)
+        add("maxWiredSharers must be at most " +
+            std::to_string(coherence::SharerPtrs::kCapacity));
     const bool trace_app = app != nullptr && app->traceSource != nullptr;
-    if (frontend == frontend::FrontendKind::Record) {
-        if (recordPath.empty())
-            add("frontend=record needs a recordPath");
-        if (trace_app)
-            add("cannot record a trace-driven app (it has no kernel)");
-    } else if (!recordPath.empty()) {
-        add("recordPath set but frontend is not record");
-    }
-    if (is_replay) {
-        if (replayPath.empty() && !trace_app)
-            add("replay frontend needs a replayPath "
-                "(or a trace-driven app)");
-    } else if (!replayPath.empty()) {
-        add("replayPath set but frontend is not a replay kind");
-    }
+    if (!recordPath.empty() && !replayPath.empty())
+        add("recordPath and replayPath are exclusive");
     if (trace_app && !replayPath.empty())
         add("trace-driven app already supplies its trace; "
             "replayPath must be empty");
+    if (trace_app && !recordPath.empty())
+        add("cannot record a trace-driven app (it has no kernel)");
     if (app != nullptr && app->kernel == nullptr && !trace_app)
         add("app has neither a kernel nor a trace source");
     add(trace.validate());
@@ -159,16 +154,13 @@ runExperiment(const ExperimentSpec &spec)
     if (std::string err = spec.validate(); !err.empty())
         sim::fatal("invalid ExperimentSpec: %s", err.c_str());
 
-    // Resolve the effective frontend: a trace-driven app upgrades the
-    // default Coroutine frontend to full-fidelity replay of its trace.
-    frontend::FrontendKind fk = spec.frontend;
-    std::string replay_path = spec.replayPath;
-    if (spec.app->traceSource != nullptr) {
-        replay_path = spec.app->traceSource->path;
-        if (fk == frontend::FrontendKind::Coroutine)
-            fk = frontend::FrontendKind::ReplayFull;
-    }
-    const bool is_replay = fk == frontend::FrontendKind::ReplayFull;
+    // The paths select the stimulus (validate() made them exclusive);
+    // a trace-driven app replays its own trace.
+    const bool trace_app = spec.app->traceSource != nullptr;
+    const bool is_replay = trace_app || !spec.replayPath.empty();
+    const bool is_record = !spec.recordPath.empty();
+    const std::string &replay_path =
+        trace_app ? spec.app->traceSource->path : spec.replayPath;
 
     // Effective machine knobs: the spec's, unless a replayed trace
     // carries the recorded machine -- then the recording wins so the
@@ -232,7 +224,7 @@ runExperiment(const ExperimentSpec &spec)
         gate = std::make_unique<frontend::ReplayGate>(trace);
     std::unique_ptr<frontend::Recorder> recorder;
     Manycore m(cfg);
-    if (fk == frontend::FrontendKind::Record) {
+    if (is_record) {
         recorder = std::make_unique<frontend::Recorder>(cores);
         for (sim::NodeId n = 0; n < cores; ++n)
             m.core(n).setOpSink(&recorder->sink(n));
@@ -268,9 +260,8 @@ runExperiment(const ExperimentSpec &spec)
     r.meshConcentration = mesh_conc;
     r.wirelessChannels = wchan;
     r.homeMap = home_map;
-    r.frontendKind = fk;
     r.recordPath = spec.recordPath;
-    r.replayPath = is_replay ? replay_path : std::string();
+    r.replayPath = replay_path;
     // A trace app has no kernel to wrap: replay re-issues the trace.
     cpu::Program program =
         is_replay ? frontend::makeReplayProgram(trace, gate.get())
@@ -287,7 +278,7 @@ runExperiment(const ExperimentSpec &spec)
     r.hostMsgpoolGrew = m.hostMsgpoolGrew();
     r.hostMapRehashes = m.hostMapRehashes();
 
-    if (fk == frontend::FrontendKind::Record) {
+    if (is_record) {
         frontend::TraceHeader h;
         h.hasMachine = true;
         h.app = app_name;

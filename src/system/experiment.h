@@ -20,7 +20,6 @@
 #include "core/protocol_config.h"
 #include "energy/energy_model.h"
 #include "fault/fault.h"
-#include "frontend/frontend.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 #include "workload/params.h"
@@ -138,14 +137,12 @@ struct ExperimentResult
     /// @name Frontend echo (docs/FRONTEND.md)
     ///
     /// Serialized into widir-sweep-v1 as a "frontend" object only when
-    /// the run used a non-default stimulus source, so classic sweeps
+    /// one is set (the run recorded or replayed), so classic sweeps
     /// stay byte-identical to documents written before frontends
     /// existed.
     /// @{
-    frontend::FrontendKind frontendKind =
-        frontend::FrontendKind::Coroutine;
-    std::string recordPath; ///< mtrace written (Record only)
-    std::string replayPath; ///< trace replayed (Replay* only)
+    std::string recordPath; ///< mtrace written (recording runs only)
+    std::string replayPath; ///< trace replayed (replay runs only)
     /// @}
 };
 
@@ -213,29 +210,22 @@ struct ExperimentSpec
      */
     unsigned simThreads = 0;
 
-    /// @name Frontend selection (docs/FRONTEND.md)
+    /// @name Stimulus source (docs/FRONTEND.md)
+    ///
+    /// The paths select the stimulus: none runs the app's kernel on
+    /// the core model; recordPath does the same while writing a
+    /// widir-mtrace-v1 op stream there; replayPath (or an app
+    /// registered from an external trace, registerTraceApp /
+    /// `--trace-in`) drives the machine from that trace through the
+    /// core model. When a replayed trace carries a machine header, its
+    /// machine knobs (protocol, cores, seed, scale, sharer limits,
+    /// topology) override this spec so the replayed run reproduces the
+    /// recorded one.
     /// @{
-    /**
-     * Stimulus source. Coroutine (default) runs the app's kernel on
-     * the core model; Record does the same while writing a
-     * widir-mtrace-v1 op stream to recordPath; the replay kinds drive
-     * the machine from replayPath (or the app's trace source). An app
-     * registered from an external trace (registerTraceApp /
-     * `--trace-in`) auto-upgrades Coroutine to ReplayFull. When a
-     * replayed trace carries a machine header, its machine knobs
-     * (protocol, cores, seed, scale, sharer limits, topology) override
-     * this spec so the replayed run reproduces the recorded one.
-     */
-    frontend::FrontendKind frontend =
-        frontend::FrontendKind::Coroutine;
-
-    /** widir-mtrace-v1 output path; required iff frontend is Record. */
+    /** widir-mtrace-v1 output path; empty: do not record. */
     std::string recordPath;
 
-    /**
-     * Trace input path (mtrace or text format); required for the
-     * replay kinds unless the app itself is trace-driven.
-     */
+    /** Trace input path (mtrace or text format); empty: no replay. */
     std::string replayPath;
     /// @}
 

@@ -172,14 +172,14 @@ resultToJson(const ExperimentResult &r, int indent)
     w.field("host_events_per_sec", r.hostEventsPerSec);
     w.field("host_msgpool_grew", r.hostMsgpoolGrew);
     w.field("host_map_rehashes", r.hostMapRehashes);
-    if (r.frontendKind != frontend::FrontendKind::Coroutine) {
-        // Emitted only for a non-default stimulus source, so classic
+    if (!r.recordPath.empty() || !r.replayPath.empty()) {
+        // Emitted only for a recording or replaying run, so classic
         // sweeps stay byte-identical to documents written before
         // frontends existed (docs/FRONTEND.md).
         w.key("frontend");
         ObjectWriter f(out, indent + 2);
-        f.field("kind",
-                std::string(frontend::frontendKindName(r.frontendKind)));
+        f.field("kind", std::string(r.recordPath.empty() ? "replay-full"
+                                                         : "record"));
         if (!r.recordPath.empty())
             f.field("record_path", r.recordPath);
         if (!r.replayPath.empty())

@@ -55,8 +55,6 @@ class Value
     std::map<std::string, Value> object;
 
     bool isNull() const { return type == Type::Null; }
-    bool isNumber() const { return type == Type::Number; }
-    bool isString() const { return type == Type::String; }
     bool isArray() const { return type == Type::Array; }
     bool isObject() const { return type == Type::Object; }
 

@@ -1,6 +1,7 @@
 #include "system/sweep.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -17,12 +18,10 @@ defaultJobs()
 {
     if (const char *env = std::getenv("WIDIR_BENCH_JOBS")) {
         long v = 0;
-        // Strict parse: "4abc" used to silently run 4 jobs and an
-        // overflowing value wrapped through the unsigned cast; both
-        // now warn and fall back to hardware_concurrency.
         if (parseEnvInt(env, 1, 4096, v))
             return static_cast<unsigned>(v);
-        sim::warn("ignoring invalid WIDIR_BENCH_JOBS='%s'", env);
+        std::fprintf(stderr, "invalid WIDIR_BENCH_JOBS value '%s'\n", env);
+        std::exit(2);
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

@@ -119,8 +119,6 @@ class ChromeTraceWriter
     /** Serialize one record (called by the sink). */
     void add(const sim::TraceRecord &r);
 
-    std::uint64_t events() const { return events_; }
-
     /** The complete JSON document (metadata + all events). */
     std::string json() const;
 

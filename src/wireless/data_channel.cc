@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.h"
-#include <cstdio>
 
 namespace widir::wireless {
 
@@ -24,7 +23,7 @@ DataChannel::traceFrame(sim::TraceKind kind, const Frame &frame,
                         std::uint64_t arg)
 {
     sim::Tracer &tracer = sim_.tracer();
-    if (!(sim::kTraceCompiled && tracer.enabled()))
+    if (!tracer.enabled())
         return;
     sim::TraceRecord r;
     r.tick = sim_.now();
@@ -56,15 +55,8 @@ DataChannel::channelOf(sim::Addr line) const
 {
     if (cfg_.numChannels == 1)
         return 0;
-    std::uint64_t x = mem::lineNumber(line);
-    if (cfg_.channelPolicy == ChannelPolicy::LineHash) {
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ULL;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebULL;
-        x ^= x >> 31;
-    }
-    return static_cast<std::uint32_t>(x % cfg_.numChannels);
+    return static_cast<std::uint32_t>(mem::lineNumber(line) %
+                                      cfg_.numChannels);
 }
 
 void
@@ -267,12 +259,6 @@ DataChannel::evaluate(std::uint32_t ch)
     // negative-ack in the collision-detect cycle.
     std::size_t idx = ready.front();
     if (jammedBy(c.pending[idx])) {
-        if (trace_) {
-            std::fprintf(stderr, "%10llu  WNoC %2u JAMMED %-10s line=%#llx\n",
-                         (unsigned long long)now, c.pending[idx].frame.src,
-                         frameKindName(c.pending[idx].frame.kind),
-                         (unsigned long long)c.pending[idx].frame.lineAddr);
-        }
         ++jamRejects_;
         traceFrame(sim::TraceKind::FrameJammed, c.pending[idx].frame);
         Tick after = now + 1 + cfg_.collisionCycles;
@@ -344,13 +330,6 @@ DataChannel::evaluate(std::uint32_t ch)
 
     // Successful acquisition: commit at now+commitOffset, deliver the
     // frame everywhere at the end of the frame.
-    if (trace_) {
-        std::fprintf(stderr, "%10llu  WNoC %2u %-10s line=%#llx val=%llu\n",
-                     (unsigned long long)now, c.pending[idx].frame.src,
-                     frameKindName(c.pending[idx].frame.kind),
-                     (unsigned long long)c.pending[idx].frame.lineAddr,
-                     (unsigned long long)c.pending[idx].frame.value);
-    }
     PendingTx tx = std::move(c.pending[idx]);
     c.pending.erase(c.pending.begin() +
                     static_cast<std::ptrdiff_t>(idx));

@@ -48,13 +48,6 @@ namespace widir::wireless {
 using sim::Simulator;
 using sim::Tick;
 
-/** How frames are assigned to frequency-multiplexed sub-channels. */
-enum class ChannelPolicy : std::uint8_t
-{
-    LineInterleave, ///< lineNumber % numChannels (default)
-    LineHash,       ///< mixed lineNumber % numChannels
-};
-
 /** Data channel configuration (Table III defaults). */
 struct DataChannelConfig
 {
@@ -68,8 +61,6 @@ struct DataChannelConfig
      * stays the per-line serialization point.
      */
     std::uint32_t numChannels = 1;
-    /** Line -> sub-channel assignment policy (ignored at 1 channel). */
-    ChannelPolicy channelPolicy = ChannelPolicy::LineInterleave;
     Tick transferCycles = 4;   ///< payload incl. preamble
     Tick collisionCycles = 1;  ///< detect window
     Tick commitOffset = 2;     ///< preamble + detect -> guaranteed
@@ -145,9 +136,6 @@ class DataChannel
 
     /** Deactivate a jam filter. */
     void stopJamming(JamId id);
-
-    /** Trace frame lifecycle (queue/commit/deliver/jam) to stderr. */
-    void setTrace(bool on) { trace_ = on; }
 
     /// @name Statistics
     /// @{
@@ -227,7 +215,7 @@ class DataChannel
         Tick deliveryAt = 0;
     };
 
-    /** Sub-channel of @p line under the assignment policy. */
+    /** Sub-channel of @p line: line number modulo numChannels. */
     std::uint32_t channelOf(sim::Addr line) const;
 
     /** Low-bit line-number signature used for jam matching. */
@@ -261,7 +249,6 @@ class DataChannel
     std::vector<JamFilter> jams_;
     std::uint64_t nextToken_ = 1;
     JamId nextJamId_ = 1;
-    bool trace_ = false;
 
     std::uint64_t successes_ = 0;
     std::uint64_t collisionEvents_ = 0;

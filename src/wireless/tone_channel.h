@@ -64,7 +64,7 @@ class ToneChannel
         ++activeCensuses_;
         outstanding_ += participants;
         sim::Tracer &tracer = sim_.tracer();
-        if (sim::kTraceCompiled && tracer.enabled()) {
+        if (tracer.enabled()) {
             sim::TraceRecord r;
             r.tick = sim_.now();
             r.kind = sim::TraceKind::ToneCensusBegin;
@@ -123,7 +123,7 @@ class ToneChannel
         std::vector<std::function<void()>> done;
         done.swap(waiters_);
         sim::Tracer &tracer = sim_.tracer();
-        if (sim::kTraceCompiled && tracer.enabled()) {
+        if (tracer.enabled()) {
             sim::TraceRecord r;
             r.tick = sim_.now();
             r.kind = sim::TraceKind::ToneCensusEnd;
@@ -155,7 +155,7 @@ class ToneChannel
             fault_->sampleToneLoss()) {
             ++toneRetries_;
             sim::Tracer &tracer = sim_.tracer();
-            if (sim::kTraceCompiled && tracer.enabled()) {
+            if (tracer.enabled()) {
                 sim::TraceRecord r;
                 r.tick = sim_.now();
                 r.kind = sim::TraceKind::ToneRetry;

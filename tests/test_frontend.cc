@@ -31,7 +31,6 @@
 namespace {
 
 using namespace widir;
-using frontend::FrontendKind;
 using frontend::MemTrace;
 using frontend::Op;
 using frontend::OpKind;
@@ -52,10 +51,20 @@ statsJson(ExperimentResult r)
     r.hostEventsPerSec = 0.0;
     r.hostMsgpoolGrew = 0;
     r.hostMapRehashes = 0;
-    r.frontendKind = FrontendKind::Coroutine;
     r.recordPath.clear();
     r.replayPath.clear();
     return sys::resultToJson(r);
+}
+
+/** The "kind" of @p r's JSON "frontend" block ("" when absent). */
+std::string
+frontendKind(const ExperimentResult &r)
+{
+    sys::json::Value doc;
+    std::string err;
+    EXPECT_TRUE(sys::json::parse(sys::resultToJson(r), doc, &err)) << err;
+    const sys::json::Value *block = doc.find("frontend");
+    return block != nullptr ? block->find("kind")->string : "";
 }
 
 /** One identity-matrix cell: an app under one protocol. */
@@ -104,24 +113,22 @@ TEST_P(FrontendIdentity, RecordThenReplayReproducesTheRun)
 
     // Recording is pure observation: stats byte-identical to plain.
     ExperimentSpec rec_spec = base;
-    rec_spec.frontend = FrontendKind::Record;
     rec_spec.recordPath = path;
     ExperimentResult rec = sys::runExperiment(rec_spec);
     EXPECT_EQ(statsJson(plain), statsJson(rec));
-    EXPECT_EQ(rec.frontendKind, FrontendKind::Record);
+    EXPECT_EQ(frontendKind(rec), "record");
     EXPECT_EQ(rec.recordPath, path);
 
     // Full-fidelity replay reproduces the recording byte-identically
     // (machine knobs come from the trace header, not this spec).
     ExperimentSpec rep_spec;
     rep_spec.app = app;
-    rep_spec.frontend = FrontendKind::ReplayFull;
     rep_spec.replayPath = path;
     rep_spec.protocol = proto;
     rep_spec.cores = 16;
     ExperimentResult full = sys::runExperiment(rep_spec);
     EXPECT_EQ(statsJson(plain), statsJson(full));
-    EXPECT_EQ(full.frontendKind, FrontendKind::ReplayFull);
+    EXPECT_EQ(frontendKind(full), "replay-full");
     EXPECT_EQ(full.replayPath, path);
 }
 
@@ -333,20 +340,6 @@ TEST(TextTrace, GarbageMatrixFailsWithLineNumbers)
     EXPECT_NE(err.find("line 3"), std::string::npos) << err;
 }
 
-TEST(Frontend, KindNamesRoundTrip)
-{
-    for (FrontendKind k :
-         {FrontendKind::Coroutine, FrontendKind::Record,
-          FrontendKind::ReplayFull}) {
-        FrontendKind back{};
-        ASSERT_TRUE(frontend::parseFrontendKind(
-            frontend::frontendKindName(k), back));
-        EXPECT_EQ(back, k);
-    }
-    FrontendKind out{};
-    EXPECT_FALSE(frontend::parseFrontendKind("turbo", out));
-}
-
 TEST(Frontend, ValidateTraceRejectsUnreplayable)
 {
     MemTrace t;
@@ -381,32 +374,29 @@ TEST(Frontend, SpecValidationCatchesBadCombinations)
     const AppInfo *tapp = workload::registerTraceApp(
         "trace:validation", scratchPath("nonexistent.trc"));
 
+    // The paths select the stimulus: each alone is a valid spec.
     ExperimentSpec s;
     s.app = fft;
-    s.frontend = FrontendKind::Record;
-    EXPECT_NE(s.validate().find("recordPath"), std::string::npos);
     s.recordPath = "x.mtrace";
     EXPECT_TRUE(s.validate().empty()) << s.validate();
-
-    s = ExperimentSpec{};
-    s.app = fft;
-    s.recordPath = "x.mtrace"; // without frontend=record
-    EXPECT_FALSE(s.validate().empty());
-
-    s = ExperimentSpec{};
-    s.app = fft;
-    s.replayPath = "x.mtrace"; // without a replay frontend
-    EXPECT_FALSE(s.validate().empty());
-
-    s = ExperimentSpec{};
-    s.app = fft;
-    s.frontend = FrontendKind::ReplayFull; // no trace at all
-    EXPECT_FALSE(s.validate().empty());
+    s.recordPath.clear();
+    s.replayPath = "x.mtrace";
+    EXPECT_TRUE(s.validate().empty()) << s.validate();
+    s.recordPath = "y.mtrace"; // ...but recording a replay is not
+    EXPECT_NE(s.validate().find("exclusive"), std::string::npos);
 
     s = ExperimentSpec{};
     s.app = fft;
     s.simThreads = 4; // the single-queue kernel is the only one
     EXPECT_NE(s.validate().find("simThreads must be 0"),
+              std::string::npos);
+
+    s = ExperimentSpec{};
+    s.app = fft;
+    s.maxWiredSharers = 8; // the directory's inline pointer capacity
+    EXPECT_TRUE(s.validate().empty()) << s.validate();
+    s.maxWiredSharers = 9; // used to abort building the directory
+    EXPECT_NE(s.validate().find("maxWiredSharers must be at most 8"),
               std::string::npos);
 
     s = ExperimentSpec{};
@@ -417,9 +407,14 @@ TEST(Frontend, SpecValidationCatchesBadCombinations)
 
     s = ExperimentSpec{};
     s.app = tapp;
-    s.frontend = FrontendKind::Record; // nothing to record
-    s.recordPath = "x.mtrace";
+    s.recordPath = "x.mtrace"; // nothing to record
     EXPECT_FALSE(s.validate().empty());
+
+    AppInfo bare = *fft;
+    bare.kernel = nullptr; // neither a kernel nor a trace source
+    s = ExperimentSpec{};
+    s.app = &bare;
+    EXPECT_NE(s.validate().find("neither a kernel"), std::string::npos);
 }
 
 TEST(TextTrace, RunsAsRegistryWorkloadUnderBothReplayers)
@@ -443,26 +438,19 @@ TEST(TextTrace, RunsAsRegistryWorkloadUnderBothReplayers)
     ASSERT_NE(app, nullptr);
     ASSERT_EQ(workload::findApp("trace:external"), app);
 
+    // No path needed: a trace app replays its registered trace, so
+    // `--trace-in` workloads run without any extra flags.
     ExperimentSpec s;
     s.app = app;
-    s.frontend = FrontendKind::ReplayFull;
     s.protocol = coherence::Protocol::WiDir;
     s.cores = 4;
     ExperimentResult r = sys::runExperiment(s);
-    EXPECT_EQ(r.frontendKind, FrontendKind::ReplayFull);
+    EXPECT_EQ(frontendKind(r), "replay-full");
     EXPECT_EQ(r.replayPath, path);
     EXPECT_EQ(r.app, "trace:external");
     EXPECT_EQ(r.loads, 2u);
     EXPECT_EQ(r.stores, 2u);
     EXPECT_GT(r.cycles, 0u);
-
-    // The default frontend auto-upgrades to full replay for trace
-    // apps -- `--trace-in` workloads run without any extra flags.
-    ExperimentSpec d;
-    d.app = app;
-    d.cores = 4;
-    EXPECT_EQ(sys::runExperiment(d).frontendKind,
-              FrontendKind::ReplayFull);
 }
 
 } // namespace

@@ -16,7 +16,6 @@
 #include "mem/address.h"
 #include "mem/cache_array.h"
 #include "mem/main_memory.h"
-#include "mem/mshr.h"
 #include "mem/zeroed_array.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -214,31 +213,6 @@ TEST(ZeroedArray, ZeroedInBothSizeClassesAndMoveOnly)
         c.zero();
     }
     EXPECT_TRUE(Arr(0).empty());
-}
-
-TEST(Mshr, AllocateFindRelease)
-{
-    mem::MshrFile m(4);
-    EXPECT_EQ(m.find(0x40), nullptr);
-    auto &e = m.allocate(0x44, false);
-    e.waiters.push_back(11);
-    ASSERT_EQ(m.find(0x80), nullptr); // different line
-    ASSERT_EQ(m.find(0x7c), &e);      // same line (0x40..0x7f)
-    auto waiters = m.release(0x40);
-    ASSERT_EQ(waiters.size(), 1u);
-    EXPECT_EQ(waiters[0], 11u);
-    EXPECT_EQ(m.find(0x40), nullptr);
-}
-
-TEST(Mshr, CapacityTracking)
-{
-    mem::MshrFile m(2);
-    m.allocate(0x000, false);
-    EXPECT_FALSE(m.full());
-    m.allocate(0x040, true);
-    EXPECT_TRUE(m.full());
-    m.release(0x000);
-    EXPECT_FALSE(m.full());
 }
 
 TEST(MainMemory, FunctionalPeekPoke)

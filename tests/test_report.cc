@@ -296,9 +296,9 @@ TEST(Report, FaultBlockRoundTripsOnlyWhenArmed)
 
 TEST(Report, FrontendBlockRoundTripsOnlyWhenNonDefault)
 {
-    // Default (coroutine) runs emit no "frontend" key: classic sweeps
-    // stay byte-identical to documents written before frontends
-    // existed.
+    // Kernel runs (no record or replay path) emit no "frontend" key:
+    // classic sweeps stay byte-identical to documents written before
+    // frontends existed.
     ExperimentResult plain = fakeResult();
     sys::json::Value doc;
     std::string err;
@@ -309,7 +309,6 @@ TEST(Report, FrontendBlockRoundTripsOnlyWhenNonDefault)
 
     // Recording run: kind + record_path, no replay_path.
     ExperimentResult rec = fakeResult();
-    rec.frontendKind = frontend::FrontendKind::Record;
     rec.recordPath = "out/traces/fft.mtrace";
     ASSERT_TRUE(sys::json::parse(sys::resultsToJson("rec", {rec}), doc,
                                  &err))
@@ -322,7 +321,6 @@ TEST(Report, FrontendBlockRoundTripsOnlyWhenNonDefault)
 
     // Replay run: kind + replay_path, no record_path.
     ExperimentResult rep = fakeResult();
-    rep.frontendKind = frontend::FrontendKind::ReplayFull;
     rep.replayPath = "out/traces/fft.mtrace";
     ASSERT_TRUE(sys::json::parse(sys::resultsToJson("rep", {rep}), doc,
                                  &err))

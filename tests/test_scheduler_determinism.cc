@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "sim/event_queue.h"
@@ -51,9 +52,31 @@ statsJson(const ExperimentSpec &spec, bool force_heap)
     return sys::resultToJson(r);
 }
 
-class SchedulerDeterminism
-    : public ::testing::TestWithParam<
-          std::tuple<const char *, coherence::Protocol>>
+/** One determinism cell: an app under one protocol. */
+struct SchedulerCase
+{
+    const char *app;
+    coherence::Protocol proto;
+};
+
+const char *
+protoTag(coherence::Protocol p)
+{
+    return p == coherence::Protocol::WiDir ? "widir" : "baseline";
+}
+
+/**
+ * Prints the cell by value ("fft/widir"). The default tuple printer
+ * shows the app's char pointer, so the "GetParam() =" text in listed
+ * test names would change with every load address.
+ */
+void
+PrintTo(const SchedulerCase &c, std::ostream *os)
+{
+    *os << c.app << '/' << protoTag(c.proto);
+}
+
+class SchedulerDeterminism : public ::testing::TestWithParam<SchedulerCase>
 {
 };
 
@@ -72,16 +95,13 @@ TEST_P(SchedulerDeterminism, HybridMatchesPureHeapByteForByte)
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsAndProtocols, SchedulerDeterminism,
     ::testing::Values(
-        std::make_tuple("radiosity", coherence::Protocol::WiDir),
-        std::make_tuple("radiosity", coherence::Protocol::BaselineMESI),
-        std::make_tuple("fft", coherence::Protocol::WiDir),
-        std::make_tuple("fft", coherence::Protocol::BaselineMESI)),
+        SchedulerCase{"radiosity", coherence::Protocol::WiDir},
+        SchedulerCase{"radiosity", coherence::Protocol::BaselineMESI},
+        SchedulerCase{"fft", coherence::Protocol::WiDir},
+        SchedulerCase{"fft", coherence::Protocol::BaselineMESI}),
     [](const auto &info) {
-        std::string name = std::get<0>(info.param);
-        name += std::get<1>(info.param) == coherence::Protocol::WiDir
-                    ? "_widir"
-                    : "_baseline";
-        return name;
+        return std::string(info.param.app) + "_" +
+               protoTag(info.param.proto);
     });
 
 } // namespace

@@ -243,18 +243,20 @@ TEST(EnvParsing, ParseEnvIntRejectsGarbageAndOverflow)
 
 TEST(EnvParsing, DefaultJobsIgnoresInvalidEnv)
 {
-    // "4abc" used to parse as 4 jobs; it must now fall back to
-    // hardware_concurrency (>= 1) with a warning.
-    setenv("WIDIR_BENCH_JOBS", "4abc", 1);
-    unsigned garbage_jobs = sys::defaultJobs();
+    // "4abc" used to parse as 4 jobs; it now exits 2 naming the
+    // variable, like a malformed WIDIR_BENCH_SCALE or --jobs flag.
     setenv("WIDIR_BENCH_JOBS", "3", 1);
-    unsigned three = sys::defaultJobs();
+    EXPECT_EQ(sys::defaultJobs(), 3u);
     unsetenv("WIDIR_BENCH_JOBS");
-    unsigned fallback = sys::defaultJobs();
-
-    EXPECT_EQ(three, 3u);
-    EXPECT_EQ(garbage_jobs, fallback);
-    EXPECT_GE(fallback, 1u);
+    EXPECT_GE(sys::defaultJobs(), 1u);
+    EXPECT_EXIT(
+        {
+            setenv("WIDIR_BENCH_JOBS", "4abc", 1);
+            sys::defaultJobs();
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid WIDIR_BENCH_JOBS value '4abc'");
 }
 
 } // namespace

@@ -87,7 +87,6 @@ check_enum src/sim/trace.h TraceComponent docs/TRACING.md
 check_enum src/fault/fault.h FrameFate docs/FAULTS.md
 check_enum src/frontend/mtrace.h OpKind docs/FRONTEND.md
 check_enum src/cpu/op_sink.h SyncNote docs/FRONTEND.md
-check_enum src/frontend/frontend.h FrontendKind docs/FRONTEND.md
 
 # The generated transition-relation section must be byte-identical to
 # what the compiled-in protocol table renders (docs == code).
