@@ -20,8 +20,6 @@ main(int argc, char **argv)
     using namespace widir;
     using namespace widir::bench;
 
-    std::uint32_t cores = benchCores(64);
-    std::uint32_t scale = sys::benchScale(2);
     const std::uint32_t thresholds[] = {2, 3, 4, 8, 16};
 
     const char *subset[] = {"radiosity", "barnes", "canneal",
@@ -32,7 +30,9 @@ main(int argc, char **argv)
             apps.push_back(app);
     }
 
-    Options opt("ablation_update_count", argc, argv);
+    Options opt("ablation_update_count", argc, argv, {.scale = 2});
+    std::uint32_t cores = opt.cores();
+    std::uint32_t scale = opt.scale();
     Sweep sweep(opt);
     std::vector<std::vector<std::size_t>> idx; // [app][threshold]
     for (const AppInfo *app : apps) {

@@ -9,65 +9,24 @@
  * bench/out/<name>.json (widir-sweep-v1 schema, see
  * src/system/report.h) so the perf trajectory is machine-readable.
  *
- * Every bench accepts the same command line, parsed by bench::Options
- * from one declarative flag table (--help prints it):
- *   --jobs N              worker threads for the sweep
- *   --trace               capture a protocol trace per configuration
- *                         and export Chrome trace-event JSON files
- *                         next to the stats (docs/TRACING.md)
- *   --trace-window LO:HI  restrict tracing to cycles [LO, HI]
- *                         (implies --trace)
- *   --ber B               wireless frame bit-error rate
- *                         (docs/FAULTS.md; repeatable where a bench
- *                         sweeps it, e.g. sensitivity_ber)
- *   --preamble-loss P     per-frame preamble-loss probability
- *   --tone-loss P         per-observation tone-pulse-loss probability
- *   --burst B:ENTER[:EXIT]  Gilbert-Elliott burst noise: burst-state
- *                         BER plus enter/exit probabilities
- *   --fault-retries N     per-transmission retry budget
- *   --fault-seed N        extra seed folded into the fault RNG stream
- *   --tiles N             tile count (repeatable; benches that sweep
- *                         core counts, e.g. fig10_scalability, replace
- *                         their default list with the given values)
- *   --mesh-concentration C  tiles per mesh router (concentrated mesh)
- *   --wireless-channels N frequency-multiplexed data sub-channels
- *   --home-map M          directory sharding: interleave | hash
- *   --record DIR          record a widir-mtrace-v1 trace per
- *                         configuration into DIR (docs/FRONTEND.md)
- *   --trace-in FILE       register FILE (mtrace or text format) as
- *                         workload "trace:<stem>" and select it via
- *                         WIDIR_BENCH_APPS when that is unset
- *
- * Environment (flags win over environment):
- *   WIDIR_BENCH_SCALE   work multiplier (default per bench)
- *   WIDIR_BENCH_CORES   override the core count where applicable
- *   WIDIR_BENCH_APPS    comma-separated subset of app names
- *   WIDIR_BENCH_JOBS    worker threads (--jobs wins; default: all
- *                       hardware threads)
- *   WIDIR_BENCH_OUT     JSON output directory (default bench/out)
- *   WIDIR_TRACE         non-empty and not "0": same as --trace
- *   WIDIR_TRACE_WINDOW  LO:HI cycle window (same as --trace-window)
- *
- * A malformed numeric knob exits with status 2 and names the variable,
- * like a malformed flag.
+ * Every bench accepts the same flags and environment knobs, one
+ * table in bench::Options parsed by sys::cli (src/system/cli.h);
+ * `<bench> --help` prints both.
  */
 
 #ifndef WIDIR_BENCH_COMMON_H
 #define WIDIR_BENCH_COMMON_H
 
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fault/fault.h"
+#include "system/cli.h"
 #include "system/experiment.h"
 #include "system/report.h"
 #include "system/sweep.h"
@@ -80,265 +39,133 @@ using sys::ExperimentResult;
 using sys::ExperimentSpec;
 using workload::AppInfo;
 
-/** Apps to run: all 20, or the WIDIR_BENCH_APPS subset. */
-inline std::vector<const AppInfo *>
-benchApps()
-{
-    std::vector<const AppInfo *> selected;
-    const char *env = std::getenv("WIDIR_BENCH_APPS");
-    if (!env || !*env) {
-        for (const auto &app : workload::allApps())
-            selected.push_back(&app);
-        return selected;
-    }
-    bool any_requested = false;
-    std::string list(env);
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        std::size_t comma = list.find(',', pos);
-        std::size_t end = comma == std::string::npos ? list.size() : comma;
-        std::string name = list.substr(pos, end - pos);
-        // Trim surrounding whitespace; skip empty tokens so trailing
-        // or doubled commas are harmless.
-        std::size_t b = name.find_first_not_of(" \t");
-        std::size_t e = name.find_last_not_of(" \t");
-        name = b == std::string::npos
-            ? std::string()
-            : name.substr(b, e - b + 1);
-        if (!name.empty()) {
-            any_requested = true;
-            if (const AppInfo *app = workload::findApp(name))
-                selected.push_back(app);
-            else
-                std::fprintf(stderr, "unknown app '%s'\n", name.c_str());
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    if (any_requested && selected.empty()) {
-        std::fprintf(stderr,
-                     "WIDIR_BENCH_APPS='%s' matched no known app\n", env);
-        std::exit(2);
-    }
-    return selected;
-}
-
 /**
- * Core count override: WIDIR_BENCH_CORES, else @p fallback. A
- * malformed value exits with status 2, like a malformed flag.
+ * A bench's sizes when neither a flag nor the environment picks them.
+ * With more than one tile count the bench sweeps tile counts: --tiles
+ * may repeat and its values replace the list. Otherwise the bench runs
+ * one size and --tiles takes exactly one value.
  */
-inline std::uint32_t
-benchCores(std::uint32_t fallback)
+struct Sizes
 {
-    if (const char *env = std::getenv("WIDIR_BENCH_CORES")) {
-        long v = 0;
-        if (sys::parseEnvInt(env, 1, 1'000'000, v))
-            return static_cast<std::uint32_t>(v);
-        std::fprintf(stderr, "invalid WIDIR_BENCH_CORES value '%s'\n",
-                     env);
-        std::exit(2);
-    }
-    return fallback;
-}
-
-/** JSON/trace output directory: WIDIR_BENCH_OUT or bench/out. */
-inline std::string
-benchOutDir()
-{
-    const char *dir = std::getenv("WIDIR_BENCH_OUT");
-    return dir && *dir ? dir : "bench/out";
-}
+    std::uint32_t scale = 4;
+    std::vector<std::uint32_t> tiles = {64};
+};
 
 /**
- * Parsed command line for one bench binary.
- *
- * The constructor consumes argv against one declarative flag table
- * (the same table generates --help), applies the WIDIR_TRACE /
- * WIDIR_TRACE_WINDOW environment fallbacks, and exits with a usage
- * message on any unknown flag -- every bench therefore rejects typos
- * instead of silently ignoring them.
+ * The command line and environment of one bench binary: the sweep
+ * controls (jobs, sizes, apps, output paths) plus spec(), the overlay
+ * every queued configuration starts from (tracing, fault injection,
+ * topology). Every flag and knob is one row of a sys::cli table (the
+ * same table prints --help); any bad input exits 2 while parsing.
  */
 class Options
 {
   public:
-    Options(const char *bench_name, int argc, char **argv)
+    Options(const char *bench_name, int argc, char **argv,
+            Sizes sizes = {})
         : name_(bench_name)
     {
-        struct Flag
-        {
-            const char *name;                      ///< e.g. "--jobs"
-            const char *operand;                   ///< null: no operand
-            const char *help;
-            std::function<void(const char *)> parse;
-        };
-        const Flag flags[] = {
-            {"--jobs", "N", "worker threads for the sweep",
-             [this](const char *v) {
-                 long n = 0;
-                 if (!sys::parseEnvInt(v, 1, 4096, n))
-                     die("invalid --jobs value '%s'", v);
-                 jobs_ = static_cast<unsigned>(n);
-             }},
-            {"--trace", nullptr,
-             "capture + export a protocol trace per configuration",
-             [this](const char *) { traceOn_ = true; }},
-            {"--trace-window", "LO:HI",
-             "restrict tracing to a cycle window (implies --trace)",
-             [this](const char *v) { parseWindow("--trace-window", v); }},
-            {"--ber", "B",
-             "wireless frame bit-error rate (repeatable)",
-             [this](const char *v) {
-                 double b = parseProb("--ber", v);
-                 fault_.ber = b;
-                 bers_.push_back(b);
-             }},
-            {"--preamble-loss", "P",
-             "per-frame preamble-loss probability",
-             [this](const char *v) {
-                 fault_.preambleLossProb = parseProb("--preamble-loss", v);
-             }},
-            {"--tone-loss", "P",
-             "per-observation tone-pulse-loss probability",
-             [this](const char *v) {
-                 fault_.toneLossProb = parseProb("--tone-loss", v);
-             }},
-            {"--burst", "B:ENTER[:EXIT]",
-             "Gilbert-Elliott burst noise: BER in the burst state "
-             "plus enter/exit probabilities",
-             [this](const char *v) { parseBurst(v); }},
-            {"--fault-retries", "N",
-             "per-transmission retry budget before wired fallback",
-             [this](const char *v) {
-                 std::uint64_t n = 0;
-                 if (!parseUnsigned(v, 1, UINT32_MAX, n))
-                     die("invalid --fault-retries value '%s' (want "
-                         "1..4294967295)", v);
-                 fault_.retryBudget = static_cast<std::uint32_t>(n);
-             }},
-            {"--fault-seed", "N",
-             "extra seed folded into the fault RNG stream",
-             [this](const char *v) {
-                 if (!parseUnsigned(v, 0, UINT64_MAX, fault_.seed))
-                     die("invalid --fault-seed value '%s' (want an "
-                         "unsigned 64-bit integer)", v);
-             }},
-            {"--tiles", "N",
-             "tile (core) count; repeatable where a bench sweeps core "
-             "counts (e.g. fig10_scalability)",
-             [this](const char *v) {
-                 long n = 0;
-                 if (!sys::parseEnvInt(v, 1, 1'000'000, n))
-                     die("invalid --tiles value '%s'", v);
-                 tiles_.push_back(static_cast<std::uint32_t>(n));
-             }},
-            {"--mesh-concentration", "C",
-             "tiles per mesh router (concentrated mesh; must divide "
-             "the tile count)",
-             [this](const char *v) {
-                 long n = 0;
-                 if (!sys::parseEnvInt(v, 1, 4096, n))
-                     die("invalid --mesh-concentration value '%s'", v);
-                 meshConcentration_ = static_cast<std::uint32_t>(n);
-             }},
-            {"--wireless-channels", "N",
-             "frequency-multiplexed wireless data sub-channels",
-             [this](const char *v) {
-                 long n = 0;
-                 if (!sys::parseEnvInt(v, 1, 4096, n))
-                     die("invalid --wireless-channels value '%s'", v);
-                 wirelessChannels_ = static_cast<std::uint32_t>(n);
-             }},
-            {"--home-map", "interleave|hash",
-             "directory-bank sharding policy",
-             [this](const char *v) {
-                 if (!std::strcmp(v, "interleave"))
-                     homeMap_ = mem::HomeMap::Interleave;
-                 else if (!std::strcmp(v, "hash"))
-                     homeMap_ = mem::HomeMap::Hash;
-                 else
-                     die("invalid --home-map value '%s'", v);
-             }},
-            {"--record", "DIR",
-             "record a widir-mtrace-v1 trace per configuration into "
-             "DIR (docs/FRONTEND.md)",
-             [this](const char *v) {
-                 if (!*v)
-                     die("--record wants a directory");
-                 recordDir_ = v;
-             }},
-            {"--trace-in", "FILE",
-             "register FILE (mtrace or text format) as workload "
-             "'trace:<stem>'; selected via WIDIR_BENCH_APPS when unset",
-             [this](const char *v) {
-                 if (!*v)
-                     die("--trace-in wants a file");
-                 traceIn_ = v;
-             }},
-        };
+        namespace cli = sys::cli;
+        fault::FaultSpec &fault = spec_.fault;
+        const bool tile_sweep = sizes.tiles.size() > 1;
+        spec_.scale = sizes.scale;
+        cli::parse(
+            name_.c_str(), "Regenerates one experiment of the WiDir paper.",
+            {
+                {"--jobs", "N", "WIDIR_BENCH_JOBS",
+                 "worker threads for the sweep (default: all hardware "
+                 "threads)",
+                 cli::count(jobs_, 1, 4096)},
+                {"--trace", nullptr, "WIDIR_TRACE",
+                 "capture + export a protocol trace per configuration",
+                 [this](const char *) {
+                     spec_.trace.enabled = true;
+                     return std::string();
+                 }},
+                {"--trace-window", "LO:HI", "WIDIR_TRACE_WINDOW",
+                 "restrict tracing to a cycle window (implies --trace)",
+                 [this](const char *v) { return setWindow(v); }},
+                {"--ber", "B", nullptr,
+                 "wireless frame bit-error rate (repeatable)",
+                 cli::probability(bers_), true},
+                {"--preamble-loss", "P", nullptr,
+                 "per-frame preamble-loss probability",
+                 cli::probability(fault.preambleLossProb)},
+                {"--tone-loss", "P", nullptr,
+                 "per-observation tone-pulse-loss probability",
+                 cli::probability(fault.toneLossProb)},
+                {"--burst", "B:ENTER[:EXIT]", nullptr,
+                 "Gilbert-Elliott burst noise: BER in the burst state "
+                 "plus enter/exit probabilities",
+                 [this](const char *v) { return setBurst(v); }},
+                {"--fault-retries", "N", nullptr,
+                 "per-transmission retry budget before wired fallback",
+                 cli::count(fault.retryBudget, 1, UINT32_MAX)},
+                {"--fault-seed", "N", nullptr,
+                 "extra seed folded into the fault RNG stream",
+                 cli::count(fault.seed, 0, UINT64_MAX)},
+                {"--tiles", "N", "WIDIR_BENCH_CORES",
+                 tile_sweep ? "tile (core) count; repeatable, replaces "
+                              "the bench's list"
+                            : "tile (core) count",
+                 cli::count(tiles_, 1, 1'000'000), tile_sweep},
+                {"--mesh-concentration", "C", nullptr,
+                 "tiles per mesh router (concentrated mesh; must "
+                 "divide the tile count)",
+                 cli::count(spec_.meshConcentration, 1, 4096)},
+                {"--wireless-channels", "N", nullptr,
+                 "frequency-multiplexed wireless data sub-channels",
+                 cli::count(spec_.wirelessChannels, 1, 4096)},
+                {"--home-map", "interleave|hash", nullptr,
+                 "directory-bank sharding policy",
+                 cli::oneOf(spec_.homeMap,
+                            {{"interleave", mem::HomeMap::Interleave},
+                             {"hash", mem::HomeMap::Hash}})},
+                {"--record", "DIR", nullptr,
+                 "record a widir-mtrace-v1 trace per configuration "
+                 "into DIR (docs/FRONTEND.md)",
+                 cli::text(recordDir_)},
+                {"--trace-in", "FILE", nullptr,
+                 "register FILE (mtrace or text format) as workload "
+                 "'trace:<stem>'; it runs when WIDIR_BENCH_APPS is unset",
+                 [this](const char *v) { return setTraceIn(v); }},
+                {nullptr, "N", "WIDIR_BENCH_SCALE",
+                 "work multiplier (default per bench)",
+                 cli::count(spec_.scale, 1, 1'000'000)},
+                {nullptr, "A,B,...", "WIDIR_BENCH_APPS",
+                 "comma-separated subset of app names (default: all)",
+                 [this](const char *v) { return setApps(v); }},
+                {nullptr, "DIR", "WIDIR_BENCH_OUT",
+                 "JSON and Chrome trace output directory (default "
+                 "bench/out)",
+                 [this](const char *v) {
+                     if (*v)
+                         outDir_ = v;
+                     return std::string();
+                 }},
+            },
+            argc, argv);
 
-        if (const char *env = std::getenv("WIDIR_TRACE"))
-            traceOn_ = *env && std::strcmp(env, "0") != 0;
-        if (const char *env = std::getenv("WIDIR_TRACE_WINDOW"))
-            parseWindow("WIDIR_TRACE_WINDOW", env);
-
-        for (int i = 1; i < argc; ++i) {
-            const char *arg = argv[i];
-            if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
-                printHelp(flags, sizeof(flags) / sizeof(flags[0]));
-                std::exit(0);
-            }
-            const Flag *match = nullptr;
-            const char *inline_val = nullptr;
-            for (const Flag &f : flags) {
-                std::size_t n = std::strlen(f.name);
-                if (!std::strcmp(arg, f.name)) {
-                    match = &f;
-                    break;
-                }
-                if (f.operand && !std::strncmp(arg, f.name, n) &&
-                    arg[n] == '=') {
-                    match = &f;
-                    inline_val = arg + n + 1;
-                    break;
-                }
-            }
-            if (!match)
-                die("unknown flag '%s' (try --help)", arg);
-            if (!match->operand) {
-                match->parse(nullptr);
-                continue;
-            }
-            if (!inline_val) {
-                if (i + 1 >= argc)
-                    die("%s requires %s", match->name, match->operand);
-                inline_val = argv[++i];
-            }
-            match->parse(inline_val);
+        if (tiles_.empty())
+            tiles_ = sizes.tiles;
+        if (!bers_.empty())
+            fault.ber = bers_.back();
+        if (apps_.empty() && traceApp_ != nullptr)
+            apps_.push_back(traceApp_);
+        if (apps_.empty()) {
+            for (const auto &app : workload::allApps())
+                apps_.push_back(&app);
         }
-
-        if (std::string err = fault_.validate(); !err.empty())
-            die("invalid fault options: %s", err.c_str());
-
-        // --trace-in makes the external trace a first-class workload:
-        // register it as "trace:<stem>" and, when the user did not
-        // pick an app subset, select exactly it -- so any bench runs
-        // the external trace through its standard sweep. This runs
-        // before any sweep worker exists, so mutating the environment
-        // is safe.
-        if (!traceIn_.empty()) {
-            std::string stem = traceIn_;
-            if (std::size_t slash = stem.find_last_of('/');
-                slash != std::string::npos)
-                stem.erase(0, slash + 1);
-            if (std::size_t dot = stem.find_last_of('.');
-                dot != std::string::npos && dot > 0)
-                stem.erase(dot);
-            std::string app = "trace:" + stem;
-            workload::registerTraceApp(app, traceIn_);
-            const char *sel = std::getenv("WIDIR_BENCH_APPS");
-            if (!sel || !*sel)
-                setenv("WIDIR_BENCH_APPS", app.c_str(), 1);
+        spec_.cores = tiles_.front();
+        // Reject a bad combination (a mesh concentration that does not
+        // divide a tile count, ...) here, before any run starts.
+        for (std::uint32_t tiles : tiles_) {
+            ExperimentSpec probe = spec_;
+            probe.app = apps_.front();
+            probe.cores = tiles;
+            if (std::string err = probe.validate(); !err.empty())
+                cli::fail(name_.c_str(), "invalid options: %s",
+                          err.c_str());
         }
     }
 
@@ -346,154 +173,113 @@ class Options
     /** Worker threads; 0 lets SweepRunner pick sys::defaultJobs(). */
     unsigned jobs() const { return jobs_; }
 
-    /// @name Tracing (mapped onto sys::TraceOptions per spec)
-    /// @{
-    bool traceOn() const { return traceOn_; }
-    sim::Tick traceStart() const { return traceLo_; }
-    sim::Tick traceEnd() const { return traceHi_; }
-    /// @}
+    /** The overlay every queued spec starts from (Sweep::add). */
+    const ExperimentSpec &spec() const { return spec_; }
 
-    /** Fault spec assembled from the fault flags (default: clean). */
-    const fault::FaultSpec &fault() const { return fault_; }
+    /** Work multiplier and, for a single-size bench, its tile count. */
+    std::uint32_t scale() const { return spec_.scale; }
+    std::uint32_t cores() const { return spec_.cores; }
+
+    /** Tile counts of a tile-sweeping bench (Sizes). */
+    const std::vector<std::uint32_t> &tiles() const { return tiles_; }
 
     /** Every --ber value, in order (sensitivity_ber sweeps these). */
     const std::vector<double> &berList() const { return bers_; }
 
-    /** Every --tiles value, in order (empty: bench default counts). */
-    const std::vector<std::uint32_t> &tilesList() const
-    {
-        return tiles_;
-    }
+    /** Apps to run: the WIDIR_BENCH_APPS subset, else all. */
+    const std::vector<const AppInfo *> &apps() const { return apps_; }
 
-    /// @name Scale-out topology knobs (applied sweep-wide)
-    /// @{
-    std::uint32_t meshConcentration() const
-    {
-        return meshConcentration_;
-    }
-    std::uint32_t wirelessChannels() const { return wirelessChannels_; }
-    mem::HomeMap homeMap() const { return homeMap_; }
-    /// @}
-
-    /// @name Frontend selection (docs/FRONTEND.md)
-    /// @{
     /** Trace output directory; empty when --record was not given. */
     const std::string &recordDir() const { return recordDir_; }
-    /// @}
+    /** JSON and Chrome trace directory (WIDIR_BENCH_OUT). */
+    const std::string &outDir() const { return outDir_; }
 
   private:
-    [[noreturn]] void
-    die(const char *fmt, ...)
+    std::string
+    setWindow(const char *v)
     {
-        va_list ap;
-        va_start(ap, fmt);
-        std::fprintf(stderr, "%s: ", name_.c_str());
-        std::vfprintf(stderr, fmt, ap);
-        std::fprintf(stderr, "\n");
-        va_end(ap);
-        std::exit(2);
-    }
-
-    /**
-     * Strict decimal parse into [@p lo, @p hi]: digits only (strtoull
-     * alone skips blanks, accepts a sign and wraps "-1" to the
-     * maximum), nothing trailing, no overflow.
-     */
-    static bool
-    parseUnsigned(const char *text, std::uint64_t lo, std::uint64_t hi,
-                  std::uint64_t &out)
-    {
-        if (!std::isdigit(static_cast<unsigned char>(*text)))
-            return false;
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(text, &end, 10);
-        if (*end != '\0' || errno == ERANGE || v < lo || v > hi)
-            return false;
-        out = v;
-        return true;
-    }
-
-    /** LO:HI cycle window from flag or environment variable @p what. */
-    void
-    parseWindow(const char *what, const char *val)
-    {
-        const char *colon = std::strchr(val, ':');
+        const char *colon = std::strchr(v, ':');
         std::uint64_t lo = 0;
         std::uint64_t hi = 0;
         if (colon == nullptr ||
-            !parseUnsigned(std::string(val, colon).c_str(), 0,
-                           UINT64_MAX, lo) ||
-            !parseUnsigned(colon + 1, lo, UINT64_MAX, hi))
-            die("invalid %s value '%s' (want LO:HI cycles, LO <= HI)",
-                what, val);
-        traceLo_ = lo;
-        traceHi_ = hi;
-        traceOn_ = true;
+            !sys::cli::parseUint(std::string(v, colon).c_str(), 0,
+                                 UINT64_MAX, lo) ||
+            !sys::cli::parseUint(colon + 1, lo, UINT64_MAX, hi))
+            return "want LO:HI cycles, LO <= HI";
+        spec_.trace.enabled = true;
+        spec_.trace.start = lo;
+        spec_.trace.end = hi;
+        return "";
     }
 
-    double
-    parseProb(const char *flag, const char *val)
-    {
-        char *end = nullptr;
-        double p = std::strtod(val, &end);
-        if (!end || end == val || *end != '\0' || !(p >= 0.0) ||
-            !(p <= 1.0))
-            die("%s wants a probability in [0,1], got '%s'", flag, val);
-        return p;
-    }
-
-    void
-    parseBurst(const char *val)
+    std::string
+    setBurst(const char *v)
     {
         // B:ENTER[:EXIT]; EXIT keeps its FaultSpec default if omitted.
-        std::string s(val);
+        fault::FaultSpec &f = spec_.fault;
+        std::string s(v);
         std::size_t c1 = s.find(':');
-        if (c1 == std::string::npos)
-            die("--burst wants B:ENTER[:EXIT], got '%s'", val);
         std::size_t c2 = s.find(':', c1 + 1);
-        fault_.burstBer = parseProb("--burst", s.substr(0, c1).c_str());
-        std::string enter = c2 == std::string::npos
-            ? s.substr(c1 + 1)
-            : s.substr(c1 + 1, c2 - c1 - 1);
-        fault_.burstEnterProb = parseProb("--burst", enter.c_str());
-        if (c2 != std::string::npos)
-            fault_.burstExitProb =
-                parseProb("--burst", s.substr(c2 + 1).c_str());
+        auto prob = [](const std::string &text, double &out) {
+            return sys::cli::parseProbability(text.c_str(), out);
+        };
+        if (c1 == std::string::npos ||
+            !prob(s.substr(0, c1), f.burstBer) ||
+            !prob(s.substr(c1 + 1, c2 - c1 - 1), f.burstEnterProb) ||
+            (c2 != std::string::npos &&
+             !prob(s.substr(c2 + 1), f.burstExitProb)))
+            return "want B:ENTER[:EXIT] probabilities";
+        return "";
     }
 
-    template <typename FlagT>
-    void
-    printHelp(const FlagT *flags, std::size_t n)
+    /**
+     * --trace-in makes the external trace a first-class workload,
+     * "trace:<stem>", so any bench runs it through its standard sweep.
+     */
+    std::string
+    setTraceIn(const char *v)
     {
-        std::printf("usage: %s [flags]\n\n"
-                    "Regenerates one experiment of the WiDir paper; "
-                    "see bench/common.h\nfor the WIDIR_BENCH_* "
-                    "environment knobs.\n\nflags:\n",
-                    name_.c_str());
-        for (std::size_t i = 0; i < n; ++i) {
-            char left[48];
-            std::snprintf(left, sizeof(left), "%s%s%s", flags[i].name,
-                          flags[i].operand ? " " : "",
-                          flags[i].operand ? flags[i].operand : "");
-            std::printf("  %-28s %s\n", left, flags[i].help);
+        if (!*v)
+            return "want a file";
+        std::string stem = v;
+        if (std::size_t slash = stem.find_last_of('/');
+            slash != std::string::npos)
+            stem.erase(0, slash + 1);
+        if (std::size_t dot = stem.find_last_of('.');
+            dot != std::string::npos && dot > 0)
+            stem.erase(dot);
+        traceApp_ = workload::registerTraceApp("trace:" + stem, v);
+        return "";
+    }
+
+    /** Comma list; blanks around names and empty items are ignored. */
+    std::string
+    setApps(const char *v)
+    {
+        std::istringstream list(v);
+        std::string name;
+        while (std::getline(list, name, ',')) {
+            std::size_t b = name.find_first_not_of(" \t");
+            if (b == std::string::npos)
+                continue;
+            name = name.substr(b, name.find_last_not_of(" \t") - b + 1);
+            const AppInfo *app = workload::findApp(name);
+            if (app == nullptr)
+                return "unknown app '" + name + "'";
+            apps_.push_back(app);
         }
-        std::printf("  %-28s %s\n", "--help", "this message");
+        return "";
     }
 
     std::string name_;
     unsigned jobs_ = 0;
-    bool traceOn_ = false;
-    sim::Tick traceLo_ = 0;
-    sim::Tick traceHi_ = sim::kTickNever;
-    fault::FaultSpec fault_;
-    std::vector<double> bers_;
+    ExperimentSpec spec_;
     std::vector<std::uint32_t> tiles_;
-    std::uint32_t meshConcentration_ = 1;
-    std::uint32_t wirelessChannels_ = 1;
-    mem::HomeMap homeMap_ = mem::HomeMap::Interleave;
+    std::vector<double> bers_;
+    std::vector<const AppInfo *> apps_;
+    const AppInfo *traceApp_ = nullptr;
     std::string recordDir_;
-    std::string traceIn_;
+    std::string outDir_ = "bench/out";
 };
 
 /**
@@ -502,21 +288,13 @@ class Options
  * then the printing code reads results back by index -- identical to
  * the old serial run-as-you-print flow, just batched.
  *
- * Sweep applies the bench-wide Options (tracing, fault injection) to
- * every queued spec, so a single --ber flag faults the whole sweep.
+ * Every spec starts from the Options overlay, so a single --ber flag
+ * faults the whole sweep.
  */
 class Sweep
 {
   public:
-    explicit Sweep(const Options &opt)
-        : runner_(opt.jobs()), name_(opt.name()),
-          traceOn_(opt.traceOn()), traceLo_(opt.traceStart()),
-          traceHi_(opt.traceEnd()), fault_(opt.fault()),
-          meshConcentration_(opt.meshConcentration()),
-          wirelessChannels_(opt.wirelessChannels()),
-          homeMap_(opt.homeMap()), recordDir_(opt.recordDir())
-    {
-    }
+    explicit Sweep(const Options &opt) : opt_(opt), runner_(opt.jobs()) {}
 
     /** Queue one configuration; returns its result index. */
     std::size_t
@@ -524,60 +302,38 @@ class Sweep
         std::uint32_t scale, std::uint32_t max_wired_sharers = 3,
         std::uint32_t update_count_threshold = 0)
     {
-        ExperimentSpec spec;
+        ExperimentSpec spec = opt_.spec();
         spec.app = &app;
         spec.protocol = proto;
         spec.cores = cores;
         spec.scale = scale;
         spec.maxWiredSharers = max_wired_sharers;
         spec.updateCountThreshold = update_count_threshold;
-        spec.fault = fault_; // sweep-wide fault flags apply
         return addSpec(std::move(spec));
     }
 
     /**
-     * Queue a fully custom spec. Only the sweep-wide trace options are
-     * layered on top; the caller owns the FaultSpec (sensitivity_ber
-     * sweeps its own BER per row and relies on that).
+     * Queue @p spec as given (start it from Options::spec() to keep
+     * the sweep-wide flags), adding its --record and --trace output
+     * paths.
      */
     std::size_t
     addSpec(ExperimentSpec spec)
     {
-        // Topology flags apply sweep-wide unless the spec already
-        // carries a non-default value of its own.
-        if (spec.meshConcentration == 1)
-            spec.meshConcentration = meshConcentration_;
-        if (spec.wirelessChannels == 1)
-            spec.wirelessChannels = wirelessChannels_;
-        if (spec.homeMap == mem::HomeMap::Interleave)
-            spec.homeMap = homeMap_;
-        // --record applies sweep-wide to kernel apps (a trace app has
-        // nothing to record).
-        if (!recordDir_.empty() && spec.recordPath.empty() &&
+        char tag[64];
+        std::snprintf(tag, sizeof(tag), "%zu_%s_%s_%uc", specs_.size(),
+                      spec.app ? spec.app->name : "?",
+                      spec.protocol == Protocol::WiDir ? "widir"
+                                                       : "baseline",
+                      spec.cores);
+        // A trace app has nothing to record.
+        if (!opt_.recordDir().empty() && spec.recordPath.empty() &&
             spec.replayPath.empty() && spec.app != nullptr &&
-            spec.app->traceSource == nullptr) {
-            char tag[64];
-            std::snprintf(tag, sizeof(tag), "%zu_%s_%s_%uc",
-                          specs_.size(), spec.app->name,
-                          spec.protocol == Protocol::WiDir ? "widir"
-                                                           : "baseline",
-                          spec.cores);
-            spec.recordPath = recordDir_ + "/" + tag + ".mtrace";
-        }
-        if (traceOn_) {
-            spec.trace.enabled = true;
-            spec.trace.start = traceLo_;
-            spec.trace.end = traceHi_;
-            char tag[64];
-            std::snprintf(tag, sizeof(tag), ".%zu_%s_%s_%uc",
-                          specs_.size(), spec.app ? spec.app->name : "?",
-                          spec.protocol == Protocol::WiDir ? "widir"
-                                                           : "baseline",
-                          spec.cores);
-            spec.trace.file = benchOutDir() + "/" +
-                              (name_.empty() ? "sweep" : name_) + tag +
-                              ".trace.json";
-        }
+            spec.app->traceSource == nullptr)
+            spec.recordPath = opt_.recordDir() + "/" + tag + ".mtrace";
+        if (spec.trace.enabled)
+            spec.trace.file = opt_.outDir() + "/" + opt_.name() + "." +
+                              tag + ".trace.json";
         specs_.push_back(std::move(spec));
         return specs_.size() - 1;
     }
@@ -587,10 +343,10 @@ class Sweep
     run()
     {
         results_ = runner_.run(specs_);
-        if (traceOn_)
+        if (opt_.spec().trace.enabled)
             std::printf("[%zu Chrome traces -> %s/%s.*.trace.json]\n",
-                        specs_.size(), benchOutDir().c_str(),
-                        name_.empty() ? "sweep" : name_.c_str());
+                        specs_.size(), opt_.outDir().c_str(),
+                        opt_.name().c_str());
     }
 
     const ExperimentResult &
@@ -614,23 +370,15 @@ class Sweep
     void
     writeJson(const char *bench_name) const
     {
-        std::string path = benchOutDir() + "/" + bench_name + ".json";
+        std::string path = opt_.outDir() + "/" + bench_name + ".json";
         if (sys::writeResultsJson(path, bench_name, results_))
             std::printf("[%zu results -> %s]\n", results_.size(),
                         path.c_str());
     }
 
   private:
+    Options opt_;
     sys::SweepRunner runner_;
-    std::string name_;
-    bool traceOn_;
-    sim::Tick traceLo_;
-    sim::Tick traceHi_;
-    fault::FaultSpec fault_;
-    std::uint32_t meshConcentration_;
-    std::uint32_t wirelessChannels_;
-    mem::HomeMap homeMap_;
-    std::string recordDir_;
     std::vector<ExperimentSpec> specs_;
     std::vector<ExperimentResult> results_;
 };

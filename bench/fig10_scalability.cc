@@ -20,18 +20,16 @@ main(int argc, char **argv)
     using namespace widir;
     using namespace widir::bench;
 
-    std::uint32_t scale = sys::benchScale(4);
-
-    Options opt("fig10_scalability", argc, argv);
-    auto apps = benchApps();
     // --tiles replaces the paper's core-count sweep, e.g.
     //   fig10_scalability --tiles 64 --tiles 256 --tiles 1024
     // scales the figure out to the manycore sizes the flat/SoA hot
     // state was built for (docs/PERF.md); the first count is the
     // speedup reference.
-    std::vector<std::uint32_t> core_counts = {4, 16, 32, 64};
-    if (!opt.tilesList().empty())
-        core_counts = opt.tilesList();
+    Options opt("fig10_scalability", argc, argv,
+                {.tiles = {4, 16, 32, 64}});
+    std::uint32_t scale = opt.scale();
+    const auto &apps = opt.apps();
+    const std::vector<std::uint32_t> &core_counts = opt.tiles();
     Sweep sweep(opt);
     // bi[c][a] / wi[c][a]: indices per core count x app; the 4-core
     // Baseline row is also the per-app reference.

@@ -5,6 +5,7 @@
  * cycles and the rest. The paper reports average execution-time
  * reductions of ~22% (64 cores), ~11% (32) and ~4% (16), and an
  * average Baseline memory-stall share near 65% at 64 cores.
+ * --tiles (or WIDIR_BENCH_CORES) replaces the three core counts.
  */
 
 #include "common.h"
@@ -15,11 +16,10 @@ main(int argc, char **argv)
     using namespace widir;
     using namespace widir::bench;
 
-    std::uint32_t scale = sys::benchScale(4);
-    const std::uint32_t core_counts[] = {64, 32, 16};
-
-    Options opt("fig8_exec_time", argc, argv);
-    auto apps = benchApps();
+    Options opt("fig8_exec_time", argc, argv, {.tiles = {64, 32, 16}});
+    std::uint32_t scale = opt.scale();
+    const std::vector<std::uint32_t> &core_counts = opt.tiles();
+    const auto &apps = opt.apps();
     Sweep sweep(opt);
     // bi[c][a] / wi[c][a]: indices per core count x app.
     std::vector<std::vector<std::size_t>> bi, wi;
@@ -39,7 +39,7 @@ main(int argc, char **argv)
     banner("Fig. 8: normalized execution time (memory stall + rest)",
            "Figure 8 (a,b,c)");
 
-    for (std::size_t c = 0; c < std::size(core_counts); ++c) {
+    for (std::size_t c = 0; c < core_counts.size(); ++c) {
         std::printf("\n--- %u cores ---\n", core_counts[c]);
         std::printf("%-14s %10s %7s | %10s %7s | %8s\n", "app",
                     "base.cyc", "stall%", "widir.cyc", "stall%",

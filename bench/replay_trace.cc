@@ -9,18 +9,13 @@
  * describe the host process and the stimulus plumbing rather than the
  * simulated machine.
  *
- *   replay_trace --trace-in FILE [--protocol widir|baseline]
- *                [--tiles N] [--scale N] [--out FILE.json]
- *                [--diff REF.json]
- *
- * The machine flags only matter for headerless text traces; a recorded
- * trace carries its machine and overrides them. Exits 0 on success,
+ * `replay_trace --help` lists the flags. The machine flags only matter
+ * for headerless text traces; a recorded trace carries its machine
+ * and overrides them. Exits 0 on success,
  * 1 when --diff finds a mismatch, 2 on usage or I/O errors.
  */
 
-#include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -30,23 +25,6 @@
 namespace {
 
 using widir::sys::json::Value;
-
-/** Print "replay_trace: <why>" and the usage text; exit 2. */
-[[noreturn, gnu::format(printf, 1, 2)]] void
-usage(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::fprintf(stderr, "replay_trace: ");
-    std::vfprintf(stderr, fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr,
-                 "\nusage: replay_trace --trace-in FILE "
-                 "[--protocol widir|baseline]\n"
-                 "       [--tiles N] [--scale N] [--out FILE.json] "
-                 "[--diff REF.json]\n");
-    std::exit(2);
-}
 
 /** Result-object fields excluded from the fidelity diff. */
 bool
@@ -116,60 +94,39 @@ int
 main(int argc, char **argv)
 {
     using namespace widir;
-
-    std::string trace_in, out_path, diff_path;
-    coherence::Protocol proto = coherence::Protocol::WiDir;
-    std::uint32_t tiles = 64;
-    std::uint32_t scale = 1;
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto operand = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage("%s: missing operand", arg);
-            return argv[++i];
-        };
-        if (!std::strcmp(arg, "--trace-in")) {
-            trace_in = operand();
-        } else if (!std::strcmp(arg, "--protocol")) {
-            const char *v = operand();
-            if (!std::strcmp(v, "widir"))
-                proto = coherence::Protocol::WiDir;
-            else if (!std::strcmp(v, "baseline"))
-                proto = coherence::Protocol::BaselineMESI;
-            else
-                usage("--protocol wants widir|baseline, not '%s'", v);
-        } else if (!std::strcmp(arg, "--tiles")) {
-            const char *v = operand();
-            long n = 0;
-            if (!sys::parseEnvInt(v, 1, 1'000'000, n))
-                usage("invalid --tiles value '%s'", v);
-            tiles = static_cast<std::uint32_t>(n);
-        } else if (!std::strcmp(arg, "--scale")) {
-            const char *v = operand();
-            long n = 0;
-            if (!sys::parseEnvInt(v, 1, 1'000'000, n))
-                usage("invalid --scale value '%s'", v);
-            scale = static_cast<std::uint32_t>(n);
-        } else if (!std::strcmp(arg, "--out")) {
-            out_path = operand();
-        } else if (!std::strcmp(arg, "--diff")) {
-            diff_path = operand();
-        } else if (!std::strcmp(arg, "--help") ||
-                   !std::strcmp(arg, "-h")) {
-            usage("replay one trace file");
-        } else {
-            usage("unknown flag '%s'", arg);
-        }
-    }
-    if (trace_in.empty())
-        usage("--trace-in is required");
+    namespace cli = sys::cli;
 
     sys::ExperimentSpec spec;
+    spec.protocol = coherence::Protocol::WiDir;
+    spec.cores = 64;
+    std::string trace_in, out_path, diff_path;
+    cli::parse(
+        "replay_trace",
+        "Replays one trace file through full-fidelity replay; a recorded\n"
+        "trace carries its machine, which overrides the machine flags.",
+        {
+            {"--trace-in", "FILE", nullptr,
+             "trace to replay (widir-mtrace-v1 or text format; required)",
+             cli::text(trace_in)},
+            {"--protocol", "widir|baseline", nullptr, "coherence protocol",
+             cli::protocol(spec.protocol)},
+            {"--tiles", "N", nullptr, "tile (core) count",
+             cli::count(spec.cores, 1, 1'000'000)},
+            {"--scale", "N", nullptr, "work multiplier",
+             cli::count(spec.scale, 1, 1'000'000)},
+            {"--out", "FILE.json", nullptr,
+             "write the widir-sweep-v1 result here",
+             cli::text(out_path)},
+            {"--diff", "REF.json", nullptr,
+             "compare the stats with a reference document; exit 1 on "
+             "a mismatch",
+             cli::text(diff_path)},
+        },
+        argc, argv);
+    if (trace_in.empty())
+        cli::fail("replay_trace", "--trace-in is required (try --help)");
+
     spec.app = workload::registerTraceApp("trace:replay", trace_in);
-    spec.protocol = proto;
-    spec.cores = tiles;
-    spec.scale = scale;
     sys::ExperimentResult r = sys::runExperiment(spec);
 
     std::printf("%s %s: replay-full replay of %s\n", r.app.c_str(),

@@ -22,28 +22,25 @@ main(int argc, char **argv)
     using namespace widir;
     using namespace widir::bench;
 
-    Options opt("sensitivity_ber", argc, argv);
-    std::uint32_t scale = sys::benchScale(2);
-    std::uint32_t cores = benchCores(64);
+    Options opt("sensitivity_ber", argc, argv, {.scale = 2});
+    std::uint32_t cores = opt.cores();
+    std::uint32_t scale = opt.scale();
 
     std::vector<double> bers = opt.berList();
     if (bers.empty())
         bers = {1e-6, 1e-5, 1e-4, 1e-3};
     bers.insert(bers.begin(), 0.0); // clean reference row
 
-    auto apps = benchApps();
+    const auto &apps = opt.apps();
     Sweep sweep(opt);
     // rows[b][a]: result index per BER x app.
     std::vector<std::vector<std::size_t>> rows;
     for (double ber : bers) {
         std::vector<std::size_t> row;
         for (const AppInfo *app : apps) {
-            ExperimentSpec spec;
+            ExperimentSpec spec = opt.spec();
             spec.app = app;
             spec.protocol = Protocol::WiDir;
-            spec.cores = cores;
-            spec.scale = scale;
-            spec.fault = opt.fault();
             spec.fault.ber = ber;
             row.push_back(sweep.addSpec(std::move(spec)));
         }
@@ -55,7 +52,7 @@ main(int argc, char **argv)
            "the Section V-A error-free-channel assumption");
 
     std::printf("%u cores, scale %u, retry budget %u\n\n", cores, scale,
-                opt.fault().retryBudget);
+                opt.spec().fault.retryBudget);
     std::printf("%10s %9s %12s %10s %8s %10s %10s\n", "BER",
                 "norm.time", "crcErrors", "retries", "drops",
                 "fallbacks", "toneRetry");

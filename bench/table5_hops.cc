@@ -14,11 +14,11 @@ main(int argc, char **argv)
     using namespace widir;
     using namespace widir::bench;
 
-    std::uint32_t cores = benchCores(64);
-    std::uint32_t scale = sys::benchScale(4);
 
     Options opt("table5_hops", argc, argv);
-    auto apps = benchApps();
+    std::uint32_t cores = opt.cores();
+    std::uint32_t scale = opt.scale();
+    const auto &apps = opt.apps();
     Sweep sweep(opt);
     std::vector<std::size_t> idx;
     for (const AppInfo *app : apps)

@@ -18,12 +18,12 @@ main(int argc, char **argv)
     using namespace widir;
     using namespace widir::bench;
 
-    std::uint32_t cores = benchCores(64);
-    std::uint32_t scale = sys::benchScale(4);
     const std::uint32_t thresholds[] = {2, 3, 4, 5};
 
     Options opt("table6_sensitivity", argc, argv);
-    auto apps = benchApps();
+    std::uint32_t cores = opt.cores();
+    std::uint32_t scale = opt.scale();
+    const auto &apps = opt.apps();
     Sweep sweep(opt);
     // Baseline reference per app (independent of the threshold), then
     // one WiDir run per (threshold x app).

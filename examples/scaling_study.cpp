@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "system/cli.h"
 #include "system/experiment.h"
 
 using namespace widir;
@@ -32,6 +33,15 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // The app name is positional; the only table row is the
+    // environment's work multiplier.
+    std::uint32_t scale = 2;
+    sys::cli::parse("scaling_study", "Fig. 10 in miniature for one app.",
+                    {{nullptr, "N", "WIDIR_BENCH_SCALE",
+                      "work multiplier (default 2)",
+                      sys::cli::count(scale, 1, 1'000'000)}},
+                    1, argv);
+
     std::printf("Scaling study: %s (%s)\n  pattern: %s\n\n", app->name,
                 app->suite, app->pattern);
     std::printf("%-8s %14s %14s %10s\n", "cores", "baseline.cyc",
@@ -41,7 +51,7 @@ main(int argc, char **argv)
         sys::ExperimentSpec spec;
         spec.app = app;
         spec.cores = cores;
-        spec.scale = sys::benchScale(2);
+        spec.scale = scale;
 
         spec.protocol = coherence::Protocol::BaselineMESI;
         auto base = sys::runExperiment(spec);

@@ -12,134 +12,62 @@
  * applications.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "system/cli.h"
 #include "system/experiment.h"
 
 using namespace widir;
 
-namespace {
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [--app NAME] [--protocol baseline|widir]\n"
-        "          [--cores N] [--scale N] [--seed N]\n"
-        "          [--max-wired-sharers N] [--list]\n",
-        argv0);
-}
-
-/** Report a bad command line on stderr and exit with status 2. */
-[[noreturn]] void
-badValue(const char *flag, const char *value)
-{
-    std::fprintf(stderr, "invalid %s value '%s'\n", flag, value);
-    std::exit(2);
-}
-
-/**
- * Strict unsigned 64-bit decimal: digits only (strtoull alone skips
- * blanks, accepts a sign and wraps "-1"), nothing trailing, no
- * overflow.
- */
-bool
-parseU64(const char *text, std::uint64_t &out)
-{
-    if (!std::isdigit(static_cast<unsigned char>(*text)))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (*end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
+    namespace cli = sys::cli;
     sys::ExperimentSpec spec;
-    std::string app_name = "radiosity";
+    spec.app = workload::findApp("radiosity");
     spec.protocol = coherence::Protocol::WiDir;
-    spec.cores = 64;
-    spec.scale = 1;
+    bool list = false;
+    // Same ranges as the bench flags (bench/common.h): --tiles and
+    // WIDIR_BENCH_SCALE for the sizes, the topology flags' 4096 for
+    // the sharer limit (spec.validate() narrows it).
+    cli::parse(
+        "widir_cli", "Runs one experiment and prints every metric.",
+        {
+            {"--app", "NAME", nullptr, "application (default radiosity)",
+             [&spec](const char *v) {
+                 spec.app = workload::findApp(v);
+                 return spec.app ? "" : "unknown app; try --list";
+             }},
+            {"--protocol", "widir|baseline", nullptr,
+             "coherence protocol (default widir)",
+             cli::protocol(spec.protocol)},
+            {"--cores", "N", nullptr, "tile (core) count (default 64)",
+             cli::count(spec.cores, 1, 1'000'000)},
+            {"--scale", "N", nullptr, "work multiplier (default 1)",
+             cli::count(spec.scale, 1, 1'000'000)},
+            {"--seed", "N", nullptr, "simulation seed (default 1)",
+             cli::count(spec.seed, 0, UINT64_MAX)},
+            {"--max-wired-sharers", "N", nullptr,
+             "wired sharers before a line goes wireless (Table VI)",
+             cli::count(spec.maxWiredSharers, 0, 4096)},
+            {"--list", nullptr, nullptr, "list the applications and exit",
+             [&list](const char *) {
+                 list = true;
+                 return "";
+             }},
+        },
+        argc, argv);
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&](const char *what) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", what);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        // Same ranges as the bench flags (bench/common.h): --tiles
-        // and WIDIR_BENCH_SCALE for the sizes, the topology flags'
-        // 4096 for the sharer limit (spec.validate() narrows it).
-        auto count = [&](const char *flag, long min,
-                         long max) -> std::uint32_t {
-            const char *v = next(flag);
-            long n = 0;
-            if (!sys::parseEnvInt(v, min, max, n))
-                badValue(flag, v);
-            return static_cast<std::uint32_t>(n);
-        };
-        if (arg == "--app") {
-            app_name = next("--app");
-        } else if (arg == "--protocol") {
-            const char *p = next("--protocol");
-            if (!std::strcmp(p, "baseline"))
-                spec.protocol = coherence::Protocol::BaselineMESI;
-            else if (!std::strcmp(p, "widir"))
-                spec.protocol = coherence::Protocol::WiDir;
-            else
-                badValue("--protocol", p);
-        } else if (arg == "--cores") {
-            spec.cores = count("--cores", 1, 1'000'000);
-        } else if (arg == "--scale") {
-            spec.scale = count("--scale", 1, 1'000'000);
-        } else if (arg == "--seed") {
-            const char *v = next("--seed");
-            if (!parseU64(v, spec.seed))
-                badValue("--seed", v);
-        } else if (arg == "--max-wired-sharers") {
-            spec.maxWiredSharers = count("--max-wired-sharers", 0, 4096);
-        } else if (arg == "--list") {
-            for (const auto &a : workload::allApps()) {
-                std::printf("%-14s %-9s paper-mpki=%5.2f  %s\n", a.name,
-                            a.suite, a.paperMpki, a.pattern);
-            }
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-            usage(argv[0]);
-            return 2;
+    if (list) {
+        for (const auto &a : workload::allApps()) {
+            std::printf("%-14s %-9s paper-mpki=%5.2f  %s\n", a.name,
+                        a.suite, a.paperMpki, a.pattern);
         }
+        return 0;
     }
-
-    spec.app = workload::findApp(app_name);
-    if (!spec.app) {
-        std::fprintf(stderr,
-                     "unknown app '%s' (try --list)\n",
-                     app_name.c_str());
-        return 2;
-    }
-    if (std::string err = spec.validate(); !err.empty()) {
-        std::fprintf(stderr, "invalid options: %s\n", err.c_str());
-        return 2;
-    }
+    if (std::string err = spec.validate(); !err.empty())
+        cli::fail("widir_cli", "invalid options: %s", err.c_str());
 
     auto r = sys::runExperiment(spec);
 

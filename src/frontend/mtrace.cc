@@ -6,6 +6,9 @@
 #include <filesystem>
 #include <limits>
 
+#include "core/protocol_config.h"
+#include "mem/address.h"
+
 namespace widir::frontend {
 
 namespace {
@@ -77,6 +80,32 @@ struct Reader
         }
         return fail("mtrace: varint overflows 64 bits at byte " +
                     std::to_string(pos));
+    }
+
+    /** A header enum byte, rejected past its last enumerator @p max. */
+    bool
+    getEnum(std::uint8_t &v, const char *field, std::uint8_t max)
+    {
+        if (!getByte(v))
+            return false;
+        if (v > max)
+            return fail("mtrace: header " + std::string(field) + " " +
+                        std::to_string(v) + " out of range");
+        return true;
+    }
+
+    /** A 32-bit header field, stored as a varint. */
+    bool
+    getU32(std::uint32_t &v, const char *field)
+    {
+        std::uint64_t wide = 0;
+        if (!getVarint(wide))
+            return false;
+        if (wide > std::numeric_limits<std::uint32_t>::max())
+            return fail("mtrace: header " + std::string(field) + " " +
+                        std::to_string(wide) + " exceeds 32 bits");
+        v = static_cast<std::uint32_t>(wide);
+        return true;
     }
 
     bool
@@ -253,32 +282,19 @@ readMtrace(const std::string &path, MemTrace &out, std::string &err)
     if (out.header.hasMachine)
     {
         TraceHeader &h = out.header;
-        std::uint8_t b = 0;
-        std::uint64_t v = 0;
-        if (!r.getString(h.app) || !r.getByte(b))
+        constexpr auto kLastProtocol =
+            static_cast<std::uint8_t>(coherence::Protocol::WiDir);
+        constexpr auto kLastHomeMap =
+            static_cast<std::uint8_t>(mem::HomeMap::Hash);
+        if (!r.getString(h.app) ||
+            !r.getEnum(h.protocol, "protocol", kLastProtocol) ||
+            !r.getEnum(h.homeMap, "homeMap", kLastHomeMap) ||
+            !r.getU32(h.cores, "cores") || !r.getU32(h.scale, "scale") ||
+            !r.getU32(h.maxWiredSharers, "maxWiredSharers") ||
+            !r.getU32(h.updateCountThreshold, "updateCountThreshold") ||
+            !r.getU32(h.meshConcentration, "meshConcentration") ||
+            !r.getU32(h.wirelessChannels, "wirelessChannels"))
             return false;
-        h.protocol = b;
-        if (!r.getByte(b))
-            return false;
-        h.homeMap = b;
-        if (!r.getVarint(v))
-            return false;
-        h.cores = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(v))
-            return false;
-        h.scale = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(v))
-            return false;
-        h.maxWiredSharers = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(v))
-            return false;
-        h.updateCountThreshold = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(v))
-            return false;
-        h.meshConcentration = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(v))
-            return false;
-        h.wirelessChannels = static_cast<std::uint32_t>(v);
         if (!r.getVarint(h.seed))
             return false;
     }

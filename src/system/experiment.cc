@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 
 #include <memory>
@@ -135,19 +134,6 @@ parseEnvInt(const char *text, long min, long max, long &out)
     return true;
 }
 
-std::uint32_t
-benchScale(std::uint32_t fallback)
-{
-    if (const char *env = std::getenv("WIDIR_BENCH_SCALE")) {
-        long v = 0;
-        if (parseEnvInt(env, 1, 1'000'000, v))
-            return static_cast<std::uint32_t>(v);
-        std::fprintf(stderr, "invalid WIDIR_BENCH_SCALE value '%s'\n", env);
-        std::exit(2);
-    }
-    return fallback;
-}
-
 ExperimentResult
 runExperiment(const ExperimentSpec &spec)
 {
@@ -164,18 +150,11 @@ runExperiment(const ExperimentSpec &spec)
 
     // Effective machine knobs: the spec's, unless a replayed trace
     // carries the recorded machine -- then the recording wins so the
-    // replay reproduces the recorded run (docs/FRONTEND.md).
+    // replay reproduces the recorded run (docs/FRONTEND.md). The
+    // header comes from outside the program, so the patched copy is
+    // validated like any spec.
+    ExperimentSpec run = spec;
     std::string app_name = spec.app->name;
-    coherence::Protocol protocol = spec.protocol;
-    std::uint32_t cores = spec.cores;
-    std::uint32_t scale = spec.scale;
-    std::uint64_t seed = spec.seed;
-    std::uint32_t max_wired = spec.maxWiredSharers;
-    std::uint32_t uct = spec.updateCountThreshold;
-    std::uint32_t mesh_conc = spec.meshConcentration;
-    std::uint32_t wchan = spec.wirelessChannels;
-    mem::HomeMap home_map = spec.homeMap;
-
     frontend::MemTrace trace;
     if (is_replay) {
         std::string terr;
@@ -185,37 +164,39 @@ runExperiment(const ExperimentSpec &spec)
         if (trace.header.hasMachine) {
             const frontend::TraceHeader &h = trace.header;
             app_name = h.app;
-            protocol = static_cast<coherence::Protocol>(h.protocol);
-            home_map = static_cast<mem::HomeMap>(h.homeMap);
-            cores = h.cores;
-            scale = h.scale;
-            seed = h.seed;
-            max_wired = h.maxWiredSharers;
-            uct = h.updateCountThreshold;
-            mesh_conc = h.meshConcentration;
-            wchan = h.wirelessChannels;
+            run.protocol = static_cast<coherence::Protocol>(h.protocol);
+            run.homeMap = static_cast<mem::HomeMap>(h.homeMap);
+            run.cores = h.cores;
+            run.scale = h.scale;
+            run.seed = h.seed;
+            run.maxWiredSharers = h.maxWiredSharers;
+            run.updateCountThreshold = h.updateCountThreshold;
+            run.meshConcentration = h.meshConcentration;
+            run.wirelessChannels = h.wirelessChannels;
+            if (std::string verr = run.validate(); !verr.empty())
+                sim::fatal("experiment %s: trace header: %s",
+                           app_name.c_str(), verr.c_str());
         }
-        if (std::string verr = frontend::validateTrace(trace, cores);
+        if (std::string verr = frontend::validateTrace(trace, run.cores);
             !verr.empty())
             sim::fatal("experiment %s: %s", app_name.c_str(),
                        verr.c_str());
     }
-
-    SystemConfig cfg = protocol == coherence::Protocol::WiDir
-        ? SystemConfig::widir(cores)
-        : SystemConfig::baseline(cores);
-    cfg.seed = seed;
-    cfg.protocol.maxWiredSharers = max_wired;
-    if (uct > 0)
-        cfg.protocol.updateCountThreshold = uct;
+    SystemConfig cfg = run.protocol == coherence::Protocol::WiDir
+        ? SystemConfig::widir(run.cores)
+        : SystemConfig::baseline(run.cores);
+    cfg.seed = run.seed;
+    cfg.protocol.maxWiredSharers = run.maxWiredSharers;
+    if (run.updateCountThreshold > 0)
+        cfg.protocol.updateCountThreshold = run.updateCountThreshold;
     // Table VI sweeps the threshold; the paper's constraint is
     // MaxWiredSharers <= sharer pointers, so grow Dir_iB accordingly.
     cfg.protocol.dirPointers =
-        std::max(cfg.protocol.dirPointers, max_wired);
-    cfg.fault = spec.fault;
-    cfg.mesh.concentration = mesh_conc;
-    cfg.wnoc.numChannels = wchan;
-    cfg.protocol.homeMap = home_map;
+        std::max(cfg.protocol.dirPointers, run.maxWiredSharers);
+    cfg.fault = run.fault;
+    cfg.mesh.concentration = run.meshConcentration;
+    cfg.wnoc.numChannels = run.wirelessChannels;
+    cfg.protocol.homeMap = run.homeMap;
 
     // The cores' coroutines reference the gate and the recorder's
     // sinks: declare both before the machine so they outlive it.
@@ -225,12 +206,12 @@ runExperiment(const ExperimentSpec &spec)
     std::unique_ptr<frontend::Recorder> recorder;
     Manycore m(cfg);
     if (is_record) {
-        recorder = std::make_unique<frontend::Recorder>(cores);
-        for (sim::NodeId n = 0; n < cores; ++n)
+        recorder = std::make_unique<frontend::Recorder>(run.cores);
+        for (sim::NodeId n = 0; n < run.cores; ++n)
             m.core(n).setOpSink(&recorder->sink(n));
     }
     workload::WorkloadParams params;
-    params.scale = scale;
+    params.scale = run.scale;
 
     // Tracing: a ring buffer always feeds the legality checker; the
     // Chrome exporter is attached only when an output path was given.
@@ -251,15 +232,15 @@ runExperiment(const ExperimentSpec &spec)
 
     ExperimentResult r;
     r.app = app_name;
-    r.protocol = protocol;
-    r.cores = cores;
-    r.seed = seed;
-    r.scale = scale;
-    r.maxWiredSharers = max_wired;
+    r.protocol = run.protocol;
+    r.cores = run.cores;
+    r.seed = run.seed;
+    r.scale = run.scale;
+    r.maxWiredSharers = run.maxWiredSharers;
     r.updateCountThreshold = cfg.protocol.updateCountThreshold;
-    r.meshConcentration = mesh_conc;
-    r.wirelessChannels = wchan;
-    r.homeMap = home_map;
+    r.meshConcentration = run.meshConcentration;
+    r.wirelessChannels = run.wirelessChannels;
+    r.homeMap = run.homeMap;
     r.recordPath = spec.recordPath;
     r.replayPath = replay_path;
     // A trace app has no kernel to wrap: replay re-issues the trace.
@@ -282,15 +263,15 @@ runExperiment(const ExperimentSpec &spec)
         frontend::TraceHeader h;
         h.hasMachine = true;
         h.app = app_name;
-        h.protocol = static_cast<std::uint8_t>(protocol);
-        h.homeMap = static_cast<std::uint8_t>(home_map);
-        h.cores = cores;
-        h.scale = scale;
-        h.maxWiredSharers = max_wired;
+        h.protocol = static_cast<std::uint8_t>(run.protocol);
+        h.homeMap = static_cast<std::uint8_t>(run.homeMap);
+        h.cores = run.cores;
+        h.scale = run.scale;
+        h.maxWiredSharers = run.maxWiredSharers;
         h.updateCountThreshold = cfg.protocol.updateCountThreshold;
-        h.meshConcentration = mesh_conc;
-        h.wirelessChannels = wchan;
-        h.seed = seed;
+        h.meshConcentration = run.meshConcentration;
+        h.wirelessChannels = run.wirelessChannels;
+        h.seed = run.seed;
         frontend::MemTrace rec = recorder->finish(h);
         std::string werr;
         if (!frontend::writeMtrace(spec.recordPath, rec, werr))
@@ -333,7 +314,7 @@ runExperiment(const ExperimentSpec &spec)
     r.writeMisses = l1.writeMisses;
     r.memStallCycles = cpu.memStallCycles;
     r.totalCoreCycles =
-        static_cast<std::uint64_t>(r.cycles) * cores;
+        static_cast<std::uint64_t>(r.cycles) * run.cores;
     r.loadLatencySum = cpu.loadLatencySum;
     r.storeLatencySum = cpu.storeLatencySum;
 
@@ -365,7 +346,7 @@ runExperiment(const ExperimentSpec &spec)
 
     energy::EnergyInputs ein;
     ein.cycles = r.cycles;
-    ein.numCores = cores;
+    ein.numCores = run.cores;
     ein.instructions = cpu.instructions;
     ein.l1Accesses = l1.loads + l1.stores + l1.rmws;
     ein.l2Accesses = dir.dirAccesses;

@@ -240,21 +240,11 @@ struct ExperimentSpec
 ExperimentResult runExperiment(const ExperimentSpec &spec);
 
 /**
- * Bench sizing: reads WIDIR_BENCH_SCALE from the environment
- * (default @p fallback) so the full suite can be run small or large.
- * A malformed value exits the process with status 2 and a message
- * naming the variable, like a malformed bench flag.
- */
-std::uint32_t benchScale(std::uint32_t fallback = 1);
-
-/**
- * Strict decimal-integer parse for environment knobs: accepts @p text
- * only when it is a complete integer (optional sign, digits, nothing
- * else) that fits in [@p min, @p max]. Rejects empty strings, trailing
- * garbage ("4abc"), and out-of-range values -- including the ones
- * strtol silently saturates -- and returns false without touching
- * @p out. Shared by benchScale and sweep::defaultJobs so every env
- * knob fails loudly the same way.
+ * Strict signed decimal-integer parse: accepts @p text only when it is
+ * a complete integer (optional sign, digits, nothing else) that fits
+ * in [@p min, @p max]. Rejects empty strings, trailing garbage
+ * ("4abc"), and out-of-range values -- including the ones strtol
+ * silently saturates -- and returns false without touching @p out.
  */
 bool parseEnvInt(const char *text, long min, long max, long &out);
 

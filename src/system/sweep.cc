@@ -1,8 +1,6 @@
 #include "system/sweep.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -16,13 +14,6 @@ namespace widir::sys {
 unsigned
 defaultJobs()
 {
-    if (const char *env = std::getenv("WIDIR_BENCH_JOBS")) {
-        long v = 0;
-        if (parseEnvInt(env, 1, 4096, v))
-            return static_cast<unsigned>(v);
-        std::fprintf(stderr, "invalid WIDIR_BENCH_JOBS value '%s'\n", env);
-        std::exit(2);
-    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

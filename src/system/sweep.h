@@ -26,10 +26,8 @@ namespace widir::sys {
 
 /**
  * Number of worker threads a sweep uses when the caller does not pick
- * one: WIDIR_BENCH_JOBS from the environment if set, otherwise
- * std::thread::hardware_concurrency() (at least 1). A malformed
- * WIDIR_BENCH_JOBS exits the process with status 2 and a message
- * naming the variable, like a malformed bench flag.
+ * one: std::thread::hardware_concurrency() (at least 1). The benches'
+ * --jobs / WIDIR_BENCH_JOBS pick one (bench/common.h).
  */
 unsigned defaultJobs();
 

@@ -1,12 +1,13 @@
 /**
  * @file
- * bench::Options flag parsing (bench/common.h): malformed numeric
- * values must exit with code 2 and a message naming the flag, never
- * truncate, wrap or read as 0.
+ * bench::Options flag parsing (bench/common.h): malformed values must
+ * exit with code 2 and a message naming the flag or variable, never
+ * truncate, wrap, read as 0 or be dropped.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <ostream>
 #include <string>
@@ -19,14 +20,14 @@ namespace {
 
 /** Parse @p args (after argv[0]) the way a bench main does. */
 bench::Options
-parse(std::vector<std::string> args)
+parse(std::vector<std::string> args, bench::Sizes sizes = {})
 {
     args.insert(args.begin(), "bench");
     std::vector<char *> argv;
     for (std::string &a : args)
         argv.push_back(a.data());
     return bench::Options("bench", static_cast<int>(argv.size()),
-                          argv.data());
+                          argv.data(), std::move(sizes));
 }
 
 TEST(BenchOptions, WellFormedValuesParse)
@@ -35,11 +36,11 @@ TEST(BenchOptions, WellFormedValuesParse)
     bench::Options o =
         parse({"--fault-retries", "4294967295", "--fault-seed",
                "18446744073709551615", "--trace-window", "5:10"});
-    EXPECT_EQ(o.fault().retryBudget, 4294967295u);
-    EXPECT_EQ(o.fault().seed, 18446744073709551615ull);
-    EXPECT_TRUE(o.traceOn());
-    EXPECT_EQ(o.traceStart(), 5u);
-    EXPECT_EQ(o.traceEnd(), 10u);
+    EXPECT_EQ(o.spec().fault.retryBudget, 4294967295u);
+    EXPECT_EQ(o.spec().fault.seed, 18446744073709551615ull);
+    EXPECT_TRUE(o.spec().trace.enabled);
+    EXPECT_EQ(o.spec().trace.start, 5u);
+    EXPECT_EQ(o.spec().trace.end, 10u);
 }
 
 /** One malformed value; @p flag null means WIDIR_TRACE_WINDOW. */
@@ -84,7 +85,7 @@ TEST(BenchOptions, MalformedSizeEnvironmentExitsTwo)
     EXPECT_EXIT(
         {
             setenv("WIDIR_BENCH_SCALE", "1abc", 1);
-            sys::benchScale(4);
+            parse({});
             std::exit(0);
         },
         ::testing::ExitedWithCode(2),
@@ -92,7 +93,7 @@ TEST(BenchOptions, MalformedSizeEnvironmentExitsTwo)
     EXPECT_EXIT(
         {
             setenv("WIDIR_BENCH_CORES", "16x", 1);
-            bench::benchCores(64);
+            parse({});
             std::exit(0);
         },
         ::testing::ExitedWithCode(2),
@@ -102,9 +103,68 @@ TEST(BenchOptions, MalformedSizeEnvironmentExitsTwo)
 TEST(BenchOptions, WellFormedSizeEnvironmentParses)
 {
     setenv("WIDIR_BENCH_CORES", "16", 1);
-    EXPECT_EQ(bench::benchCores(64), 16u);
+    EXPECT_EQ(parse({}).cores(), 16u);
     unsetenv("WIDIR_BENCH_CORES");
-    EXPECT_EQ(bench::benchCores(64), 64u);
+    EXPECT_EQ(parse({}).cores(), 64u);
+}
+
+/** --tiles and WIDIR_BENCH_CORES are one knob; the flag wins. */
+TEST(BenchOptions, SingleSizeBenchHonoursTiles)
+{
+    unsetenv("WIDIR_BENCH_CORES");
+    EXPECT_EQ(parse({"--tiles", "16"}).cores(), 16u);
+    EXPECT_EQ(parse({"--tiles=32"}).cores(), 32u);
+    setenv("WIDIR_BENCH_CORES", "8", 1);
+    EXPECT_EQ(parse({"--tiles", "16"}).cores(), 16u);
+    unsetenv("WIDIR_BENCH_CORES");
+    // One size: a second value would be silently dropped, so it exits.
+    EXPECT_EXIT(parse({"--tiles", "16", "--tiles", "32"}),
+                ::testing::ExitedWithCode(2),
+                "--tiles given more than once");
+}
+
+TEST(BenchOptions, TileSweepRepeatsAndReplacesItsList)
+{
+    unsetenv("WIDIR_BENCH_CORES");
+    const bench::Sizes sweep{.tiles = {4, 16, 32, 64}};
+    EXPECT_EQ(parse({}, sweep).tiles(),
+              (std::vector<std::uint32_t>{4, 16, 32, 64}));
+    EXPECT_EQ(parse({"--tiles", "64", "--tiles", "256"}, sweep).tiles(),
+              (std::vector<std::uint32_t>{64, 256}));
+    setenv("WIDIR_BENCH_CORES", "16", 1);
+    EXPECT_EQ(parse({}, sweep).tiles(), (std::vector<std::uint32_t>{16}));
+    unsetenv("WIDIR_BENCH_CORES");
+}
+
+/** A misspelled app exits 2 naming it, never runs a subset. */
+TEST(BenchOptions, UnknownAppInEnvironmentExitsTwo)
+{
+    setenv("WIDIR_BENCH_APPS", " fft ,, barnes,", 1);
+    bench::Options o = parse({});
+    ASSERT_EQ(o.apps().size(), 2u);
+    EXPECT_STREQ(o.apps()[1]->name, "barnes");
+    EXPECT_EXIT(
+        {
+            setenv("WIDIR_BENCH_APPS", "fft,radiostiy", 1);
+            parse({});
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid WIDIR_BENCH_APPS value 'fft,radiostiy' "
+        "\\(unknown app 'radiostiy'\\)");
+    unsetenv("WIDIR_BENCH_APPS");
+}
+
+/** Values valid one by one but not together fail before any run. */
+TEST(BenchOptions, BadCombinationExitsTwo)
+{
+    unsetenv("WIDIR_BENCH_CORES");
+    EXPECT_EXIT(parse({"--tiles", "64", "--mesh-concentration", "3"}),
+                ::testing::ExitedWithCode(2),
+                "invalid options: meshConcentration must divide cores");
+    EXPECT_EXIT(parse({"--burst", "0.5:0.9:0"}),
+                ::testing::ExitedWithCode(2),
+                "invalid options: burstExitProb");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 
+#include "common.h"
 #include "energy/energy_model.h"
 #include "system/experiment.h"
 
@@ -176,12 +177,18 @@ TEST(Experiment, MaxWiredSharersSweepGrowsPointers)
 
 TEST(Experiment, BenchScaleReadsEnvironment)
 {
+    // WIDIR_BENCH_SCALE is a row of the bench command-line table.
+    char prog[] = "bench";
+    char *argv[] = {prog, nullptr};
+    auto scale = [&argv] {
+        return bench::Options("bench", 1, argv, {.scale = 3}).scale();
+    };
     unsetenv("WIDIR_BENCH_SCALE");
-    EXPECT_EQ(sys::benchScale(3), 3u);
+    EXPECT_EQ(scale(), 3u);
     setenv("WIDIR_BENCH_SCALE", "7", 1);
-    EXPECT_EQ(sys::benchScale(3), 7u);
+    EXPECT_EQ(scale(), 7u);
     setenv("WIDIR_BENCH_SCALE", "bogus", 1);
-    EXPECT_EXIT(sys::benchScale(3), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(scale(), ::testing::ExitedWithCode(2),
                 "invalid WIDIR_BENCH_SCALE value 'bogus'");
     unsetenv("WIDIR_BENCH_SCALE");
 }

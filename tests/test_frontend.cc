@@ -273,6 +273,82 @@ TEST(Mtrace, RejectsCorruptInput)
     EXPECT_FALSE(frontend::readMtrace(p, out, err));
 }
 
+/** One corrupted machine-header field of a recorded trace. */
+struct HeaderCase
+{
+    const char *name;
+    /** Header field after the app name: 0 protocol, 1 homeMap, then
+     *  the varints cores, scale, maxWiredSharers, updateCountThreshold,
+     *  meshConcentration, wirelessChannels. */
+    std::size_t field;
+    std::string bytes;   ///< replaces the field's one-byte encoding
+    const char *message; ///< expected on stderr
+};
+
+void
+PrintTo(const HeaderCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class TraceHeaderField : public ::testing::TestWithParam<HeaderCase>
+{
+};
+
+/**
+ * A replayed header comes from outside the program: an out-of-range
+ * field must stop the run with a message naming it, never run a wrong
+ * machine or trip an assertion.
+ */
+TEST_P(TraceHeaderField, OutOfRangeValueIsRejectedByName)
+{
+    const HeaderCase &c = GetParam();
+    ExperimentSpec rec;
+    rec.app = workload::findApp("fft");
+    rec.protocol = coherence::Protocol::WiDir;
+    rec.cores = 4;
+    rec.recordPath = scratchPath("header_good.mtrace");
+    sys::runExperiment(rec);
+
+    std::string bytes;
+    {
+        std::ifstream f(rec.recordPath, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(f),
+                     std::istreambuf_iterator<char>());
+    }
+    // Magic (8), version, flags, then the length-prefixed app name.
+    const std::size_t first = 8 + 1 + 1 + 1 + 3;
+    ASSERT_GT(bytes.size(), first + 8);
+    ASSERT_EQ(bytes[first + 2], 4) << "cores: header layout changed";
+    bytes.replace(first + c.field, 1, c.bytes);
+    ExperimentSpec rep;
+    rep.app = rec.app;
+    rep.replayPath = scratchPath("header_bad.mtrace");
+    {
+        std::ofstream f(rep.replayPath, std::ios::binary);
+        f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_EXIT(sys::runExperiment(rep), ::testing::ExitedWithCode(1),
+                c.message);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mutations, TraceHeaderField,
+    ::testing::Values(
+        HeaderCase{"Protocol7", 0, "\x07", "header protocol 7 out of range"},
+        HeaderCase{"HomeMap5", 1, "\x05", "header homeMap 5 out of range"},
+        HeaderCase{"CoresPast32Bits", 2, "\x80\x80\x80\x80\x10",
+                   "header cores 4294967296 exceeds 32 bits"},
+        HeaderCase{"MaxWiredSharers9", 4, "\x09",
+                   "trace header: maxWiredSharers must be at most 8"},
+        HeaderCase{"MeshConcentration3", 6, "\x03",
+                   "trace header: meshConcentration must divide cores"},
+        HeaderCase{"WirelessChannels0", 7, std::string(1, '\0'),
+                   "trace header: wirelessChannels must be positive"}),
+    [](const ::testing::TestParamInfo<HeaderCase> &info) {
+        return std::string(info.param.name);
+    });
+
 TEST(TextTrace, ParsesTheDocumentedGrammar)
 {
     MemTrace t;

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common.h"
 #include "system/sweep.h"
 #include "workload/registry.h"
 
@@ -245,14 +246,22 @@ TEST(EnvParsing, DefaultJobsIgnoresInvalidEnv)
 {
     // "4abc" used to parse as 4 jobs; it now exits 2 naming the
     // variable, like a malformed WIDIR_BENCH_SCALE or --jobs flag.
+    // WIDIR_BENCH_JOBS is a row of the bench command-line table; when
+    // unset the sweep falls back to defaultJobs().
+    char prog[] = "bench";
+    char *argv[] = {prog, nullptr};
+    auto jobs = [&argv] {
+        return bench::Sweep(bench::Options("bench", 1, argv)).jobs();
+    };
     setenv("WIDIR_BENCH_JOBS", "3", 1);
-    EXPECT_EQ(sys::defaultJobs(), 3u);
+    EXPECT_EQ(jobs(), 3u);
     unsetenv("WIDIR_BENCH_JOBS");
+    EXPECT_EQ(jobs(), sys::defaultJobs());
     EXPECT_GE(sys::defaultJobs(), 1u);
     EXPECT_EXIT(
         {
             setenv("WIDIR_BENCH_JOBS", "4abc", 1);
-            sys::defaultJobs();
+            jobs();
             std::exit(0);
         },
         ::testing::ExitedWithCode(2),
